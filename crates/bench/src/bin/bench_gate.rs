@@ -23,7 +23,10 @@
 //! `crates/bench/baselines/scaling.json`. The deterministic merged
 //! cycles-per-syscall may not regress past the threshold at any common
 //! vCPU count, and the measured speedup at ≥4 vCPUs may not fall below
-//! the 2.5× acceptance floor. Without a current scaling run the gate is
+//! the 2.5× acceptance floor. On a host with at least two hardware
+//! threads, wall-clock syscalls per second (`total_syscalls / wall_ms`)
+//! at 2 vCPUs may not fall below the 1-vCPU figure: adding a vCPU must
+//! not make the host slower. Without a current scaling run the gate is
 //! skipped unless `--require-scaling` is given (the nightly passes it).
 //!
 //! Usage: `cargo run --release -p bench --bin bench_gate --
@@ -134,8 +137,10 @@ fn parse_args() -> Result<Options, String> {
 /// One parsed line of a `scaling.json` artifact.
 struct ScalingLine {
     vcpus: u32,
+    total_syscalls: f64,
     cycles_per_syscall: f64,
     speedup_vs_1: f64,
+    wall_ms: f64,
 }
 
 /// Parses the line-oriented `scaling.json` array into its points.
@@ -151,8 +156,10 @@ fn parse_scaling(path: &PathBuf) -> Result<Vec<ScalingLine>, String> {
         };
         out.push(ScalingLine {
             vcpus: num("vcpus")? as u32,
+            total_syscalls: num("total_syscalls")?,
             cycles_per_syscall: num("cycles_per_syscall")?,
             speedup_vs_1: num("speedup_vs_1")?,
+            wall_ms: num("wall_ms")?,
         });
     }
     if out.is_empty() {
@@ -228,6 +235,26 @@ fn gate_scaling(opts: &Options) -> bool {
             c.vcpus, c.speedup_vs_1
         ),
         None => println!("scaling: no >=4-vCPU point in current run, speedup floor not checked"),
+    }
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let wall_per_s = |n: u32| {
+        cur.iter()
+            .find(|c| c.vcpus == n)
+            .map(|c| c.total_syscalls / (c.wall_ms / 1e3))
+    };
+    match (wall_per_s(1), wall_per_s(2)) {
+        (Some(w1), Some(w2)) if threads >= 2 => {
+            let verdict = if w2 < w1 {
+                failed = true;
+                "FAIL"
+            } else {
+                "ok"
+            };
+            println!("scaling/2vcpu wall {w2:.0} syscalls/s vs 1vcpu {w1:.0}  {verdict}");
+        }
+        _ => println!(
+            "scaling: wall-clock 2-vCPU gate not checked ({threads} host threads, needs 1- and 2-vCPU points)"
+        ),
     }
     failed
 }

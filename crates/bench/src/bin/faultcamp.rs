@@ -41,10 +41,10 @@
 //!
 //! **SMP arm.** After the single-CPU grid, the same 6-class grid runs
 //! as concurrent job batches on a `--vcpus`-wide (default 4) nested
-//! [`SmpMachine`] whose vCPUs share one epoch-published metadata plane
-//! (DESIGN.md §4.9) — proving containment survives real thread
-//! interleaving on the lock-free check path. Any death there drops a
-//! bundle whose `cpu` field names the faulting vCPU.
+//! [`SmpMachine`] (DESIGN.md §4.9) whose vCPUs run on host threads with
+//! private metapools — proving containment survives concurrent vCPUs
+//! and work stealing. Any death there drops a bundle whose `cpu` field
+//! names the faulting vCPU.
 //!
 //! A JSON report lands in `target/sva-inject/faultcamp.json` (override
 //! the directory with `SVA_INJECT_DIR`). Exit status is nonzero on any
@@ -861,9 +861,9 @@ fn run_retire_drill(handler: &str, args: &[u64], pool: u32) -> RetireDrill {
 // (seed, workload) cell is an [`SmpJob`] that arms its own plan (the
 // same per-cell determinism the grid has) and enables crash capture, so
 // an unexpected death drops a bundle whose `cpu` field names the
-// faulting vCPU (`svadbg` prints it). The vCPUs share the epoch-
-// published metadata plane, so the injected violations exercise the
-// lock-free check path under real thread interleaving. Gates: zero
+// faulting vCPU (`svadbg` prints it). The vCPUs run on host threads
+// and steal each other's cells, so a cell's outcome must not depend on
+// which vCPU ran it or when. Gates: zero
 // escaped safety violations and zero machine deaths anywhere in the
 // fleet, with a floor on injected faults so an accidentally-disarmed
 // arm cannot pass vacuously.
@@ -1315,21 +1315,10 @@ fn run_upgrade_quiesce(vcpus: u32) -> QuiesceProbe {
     match fresh.resume_quiesced(&outcome.image) {
         Err(e) => probe.resume_error = Some(e.to_string()),
         Ok(resumed) => {
-            // Under a shared plane the cache-hit/page-hit split of the
-            // check path is epoch-timing dependent (a concurrent vCPU's
-            // publish invalidates this vCPU's range cache at a
-            // scheduling-dependent instruction), so compare the folded
-            // total of resolved checks, not the split.
-            let smp_key = |s: &VmStats| {
-                let mut k = (*s).equivalence_key();
-                k.cache_hits += k.page_hits;
-                k.page_hits = 0;
-                k
-            };
             for (a, b) in outcome.report.jobs.iter().zip(&resumed.jobs) {
                 let same = format!("{:?}", a.exit) == format!("{:?}", b.exit)
                     && a.console == b.console
-                    && smp_key(&a.stats) == smp_key(&b.stats);
+                    && a.stats.equivalence_key() == b.stats.equivalence_key();
                 if !same {
                     probe.resume_divergences += 1;
                     eprintln!(
@@ -1337,10 +1326,10 @@ fn run_upgrade_quiesce(vcpus: u32) -> QuiesceProbe {
                         a.cpu,
                         a.exit,
                         a.console.len(),
-                        smp_key(&a.stats),
+                        a.stats.equivalence_key(),
                         b.exit,
                         b.console.len(),
-                        smp_key(&b.stats),
+                        b.stats.equivalence_key(),
                     );
                 }
             }
@@ -1770,7 +1759,7 @@ fn main() {
     );
 
     // SMP arm (DESIGN.md §4.9): the 6-class grid as concurrent job
-    // batches on a multi-vCPU machine sharing one metadata plane.
+    // batches on a multi-vCPU machine.
     let smp = catch_unwind(AssertUnwindSafe(|| {
         run_smp_arm(smp_vcpus, &nested_ctx.targets)
     }))

@@ -148,6 +148,17 @@ impl<'a> Dec<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// Reads an element count and rejects it unless at least
+    /// `min_elem_bytes` input bytes remain per element, so a hostile count
+    /// can never size an allocation beyond what the input could fill.
+    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / min_elem_bytes {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(n)
+    }
+
     fn opt_u32(&mut self) -> Result<Option<u32>, DecodeError> {
         match self.u8()? {
             0 => Ok(None),
@@ -455,7 +466,7 @@ fn dec_inst(d: &mut Dec) -> Result<Inst, DecodeError> {
         }
         9 => {
             let ty = TypeId(d.u32()?);
-            let n = d.u32()? as usize;
+            let n = d.count(9)?;
             let mut incomings = Vec::with_capacity(n);
             for _ in 0..n {
                 let b = BlockId(d.u32()?);
@@ -485,7 +496,7 @@ fn dec_inst(d: &mut Dec) -> Result<Inst, DecodeError> {
         15 => {
             let val = dec_operand(d)?;
             let default = BlockId(d.u32()?);
-            let n = d.u32()? as usize;
+            let n = d.count(12)?;
             let mut cases = Vec::with_capacity(n);
             for _ in 0..n {
                 let c = d.i64()?;
@@ -558,7 +569,7 @@ fn dec_type(d: &mut Dec) -> Result<Type, DecodeError> {
         5 => Type::Struct(d.u32()?),
         6 => {
             let ret = TypeId(d.u32()?);
-            let n = d.u32()? as usize;
+            let n = d.count(4)?;
             let mut params = Vec::with_capacity(n);
             for _ in 0..n {
                 params.push(TypeId(d.u32()?));
@@ -766,12 +777,12 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
     let name = d.str()?;
     let mut m = Module::new(&name);
 
-    let nstructs = d.u32()? as usize;
+    let nstructs = d.count(9)?;
     let mut struct_defs = Vec::with_capacity(nstructs);
     for _ in 0..nstructs {
         let name = d.str()?;
         let opaque = d.u8()? != 0;
-        let n = d.u32()? as usize;
+        let n = d.count(4)?;
         let mut fields = Vec::with_capacity(n);
         for _ in 0..n {
             fields.push(TypeId(d.u32()?));
@@ -803,7 +814,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
             1 => GlobalInit::Bytes(d.bytes()?),
             2 => {
                 let bytes = d.bytes()?;
-                let n = d.u32()? as usize;
+                let n = d.count(13)?;
                 let mut relocs = Vec::with_capacity(n);
                 for _ in 0..n {
                     let off = d.u64()?;
@@ -897,7 +908,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
         let nblocks = d.u32()? as usize;
         for _ in 0..nblocks {
             let bname = d.str()?;
-            let n = d.u32()? as usize;
+            let n = d.count(4)?;
             let mut insts = Vec::with_capacity(n);
             for _ in 0..n {
                 insts.push(InstId(d.u32()?));
@@ -921,7 +932,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
             let th = d.u8()? != 0;
             let complete = d.u8()? != 0;
             let elem_type = d.opt_u32()?.map(TypeId);
-            let np = d.u32()? as usize;
+            let np = d.count(8)?;
             let mut points_to = Vec::with_capacity(np);
             for _ in 0..np {
                 let c = d.u32()?;
@@ -942,7 +953,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
         }
         let nf = d.u32()? as usize;
         for _ in 0..nf {
-            let nv = d.u32()? as usize;
+            let nv = d.count(1)?;
             let mut vp = Vec::with_capacity(nv);
             for _ in 0..nv {
                 vp.push(d.opt_u32()?);
@@ -951,7 +962,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
         }
         let nfc = d.u32()? as usize;
         for _ in 0..nfc {
-            let nv = d.u32()? as usize;
+            let nv = d.count(4)?;
             let mut vc = Vec::with_capacity(nv);
             for _ in 0..nv {
                 vc.push(d.u32()?);
@@ -964,7 +975,7 @@ pub fn decode_module(data: &[u8]) -> Result<Module, DecodeError> {
         }
         let ns = d.u32()? as usize;
         for _ in 0..ns {
-            let n = d.u32()? as usize;
+            let n = d.count(4)?;
             let mut set = Vec::with_capacity(n);
             for _ in 0..n {
                 set.push(d.str()?);
@@ -1088,6 +1099,17 @@ entry @sum
         for cut in [7, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_module(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn decode_rejects_counts_the_input_cannot_hold() {
+        // A header declaring u32::MAX structs would ask for hundreds of
+        // GiB up front; the count check refuses it before allocating.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // empty module name
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 64]);
+        assert_eq!(decode_module(&bytes).unwrap_err(), DecodeError::Truncated);
     }
 
     #[test]

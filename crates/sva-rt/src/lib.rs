@@ -25,10 +25,8 @@
 pub mod check;
 pub mod metapool;
 pub mod pool;
-pub mod shared;
 pub mod splay;
 
 pub use check::{CheckError, CheckKind, CheckStats};
 pub use metapool::{MetaPool, MetaPoolId, MetaPoolTable, PoolImage, PoolSummary};
-pub use shared::{PlaneLayer, PlaneReader, PlaneSnapshot, SharedMetaPlane};
 pub use splay::SplayTree;

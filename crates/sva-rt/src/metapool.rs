@@ -7,12 +7,10 @@
 //! completeness-based "reduced checks" rule.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use sva_trace::LookupLayer;
 
 use crate::check::{CheckError, CheckKind, CheckStats};
-use crate::shared::{PlaneLayer, PlaneReader, SharedMetaPlane};
 use crate::splay::SplayTree;
 
 /// Identifier of a metapool within a [`MetaPoolTable`].
@@ -101,28 +99,6 @@ pub struct MetaPool {
     /// by `sva.recover.repair` — the pool's repair history, surfaced in
     /// crash bundles.
     repairs: u32,
-    /// SMP: attachment to a shared, epoch-published metadata plane
-    /// (DESIGN.md §4.9). When set, the object registry lives in the plane
-    /// and `objects`/`page_index`/`singleton` stay empty: registrations
-    /// and drops publish plane epochs, lookups answer from the plane
-    /// snapshot through the epoch-tagged MRU below. Check semantics,
-    /// counters and quarantine state remain per-vCPU.
-    shared: Option<SharedBinding>,
-}
-
-/// One vCPU's attachment of a pool to a [`SharedMetaPlane`].
-#[derive(Clone, Debug)]
-pub struct SharedBinding {
-    /// Cached-snapshot read handle (steady state: one `Acquire` load).
-    reader: PlaneReader,
-    /// This pool's slot in the plane.
-    idx: u32,
-    /// Epoch-tagged MRU, most recent first: `(publish_epoch, start, end)`.
-    /// An entry is live only while the plane epoch still equals its tag,
-    /// so a concurrent drop (which publishes a new epoch) kills every
-    /// cached line on all vCPUs at once — no cross-CPU invalidation
-    /// traffic, no stale use-after-free window.
-    mru: [Option<(u64, u64, u64)>; 2],
 }
 
 impl MetaPool {
@@ -150,82 +126,7 @@ impl MetaPool {
             forced_reg_failures: 0,
             poisoned_by: 0,
             repairs: 0,
-            shared: None,
         }
-    }
-
-    /// Attaches this pool to slot `idx` of a shared metadata plane
-    /// (SMP machines; DESIGN.md §4.9). The plane slot must already hold
-    /// this pool's live ranges (see [`MetaPoolTable::publish_to_plane`]);
-    /// the private registry and its caches are dropped — every
-    /// registration, drop and lookup now goes through the plane.
-    pub fn bind_shared(&mut self, plane: Arc<SharedMetaPlane>, idx: u32) {
-        self.objects.clear();
-        self.singleton = None;
-        self.mru = [None; 2];
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.quiet_lookups = 0;
-        self.shared = Some(SharedBinding {
-            reader: PlaneReader::new(plane),
-            idx,
-            mru: [None; 2],
-        });
-    }
-
-    /// Whether this pool is bound to a shared metadata plane.
-    pub fn is_shared(&self) -> bool {
-        self.shared.is_some()
-    }
-
-    /// The shared-plane lookup: epoch-tagged MRU, then the published
-    /// snapshot (page index or interval walk). Counter discipline matches
-    /// the private path — exactly one of `cache_hits` / `page_hits` /
-    /// `tree_walks` per call; the singleton layer does not exist here
-    /// (a shared pool's membership can change under any vCPU's feet).
-    fn shared_lookup(&mut self, addr: u64) -> Option<(u64, u64)> {
-        let MetaPool {
-            shared,
-            stats,
-            last_layer,
-            ..
-        } = self;
-        let b = shared.as_mut().expect("shared_lookup on unbound pool");
-        // One Acquire load validates the MRU: a tag from any older epoch
-        // is dead because some register/drop published since it was
-        // filled — exactly the window where a cached range could be stale.
-        let cur = b.reader.plane().epoch();
-        for i in 0..b.mru.len() {
-            if let Some((epoch, start, end)) = b.mru[i] {
-                if epoch == cur && start <= addr && addr < end {
-                    stats.cache_hits += 1;
-                    *last_layer = LookupLayer::Cache;
-                    if i != 0 {
-                        b.mru.swap(0, 1);
-                    }
-                    return Some((start, end));
-                }
-            }
-        }
-        let (hit, layer) = b.reader.lookup(b.idx, addr);
-        match layer {
-            PlaneLayer::Page => {
-                stats.page_hits += 1;
-                *last_layer = LookupLayer::Page;
-            }
-            PlaneLayer::Walk => {
-                stats.tree_walks += 1;
-                *last_layer = LookupLayer::Tree;
-            }
-        }
-        if let Some((start, end)) = hit {
-            let tagged = (b.reader.pinned_epoch(), start, end);
-            if b.mru[0] != Some(tagged) {
-                b.mru[1] = b.mru[0];
-                b.mru[0] = Some(tagged);
-            }
-        }
-        hit
     }
 
     /// Whether the layered fast path is active.
@@ -323,9 +224,6 @@ impl MetaPool {
     /// index, then splay tree. Exactly one of `cache_hits` / `page_hits` /
     /// `tree_walks` is incremented per call.
     fn lookup_obj(&mut self, addr: u64) -> Option<(u64, u64)> {
-        if self.shared.is_some() {
-            return self.shared_lookup(addr);
-        }
         // Layer 0: singleton pool. With exactly one live range, two
         // compares answer both outcomes — containment is a hit, and a miss
         // is *definitive* because no other object can contain `addr`.
@@ -404,13 +302,9 @@ impl MetaPool {
         self.last_layer
     }
 
-    /// Number of live registered objects. For a shared-bound pool this
-    /// reads the plane's current snapshot (cold path).
+    /// Number of live registered objects.
     pub fn live_objects(&self) -> usize {
-        match &self.shared {
-            Some(b) => b.reader.plane().snapshot().live_objects(b.idx),
-            None => self.objects.len(),
-        }
+        self.objects.len()
     }
 
     /// Read-only access to the counters.
@@ -518,9 +412,6 @@ impl MetaPool {
         // Reinitialize the lookup layers from the registry (same rebuild
         // as the fast-path toggle): caches drop, index and singleton are
         // re-derived from live ranges.
-        if let Some(b) = &mut self.shared {
-            b.mru = [None; 2];
-        }
         self.mru = [None; 2];
         self.page_index.clear();
         self.unindexed = 0;
@@ -556,10 +447,6 @@ impl MetaPool {
     /// invalidated like a real drop so the corruption is coherent.
     /// Returns `false` if the pool had no live objects to corrupt.
     pub fn inject_corrupt_metadata(&mut self, seed: u64) -> bool {
-        if let Some(b) = &mut self.shared {
-            b.mru = [None; 2];
-            return b.reader.plane().corrupt(b.idx, seed);
-        }
         let ranges = self.objects.iter_ranges();
         if ranges.is_empty() {
             return false;
@@ -617,12 +504,6 @@ impl MetaPool {
         // Zero-sized allocations register a 1-byte placeholder so that the
         // pointer identity stays checkable.
         let len = len.max(1);
-        if let Some(b) = &self.shared {
-            return match b.reader.plane().register(b.idx, addr, len) {
-                Ok(()) => Ok(()),
-                Err(e) => Err(self.err(e.kind, e.addr, e.detail)),
-            };
-        }
         if !self.objects.insert(addr, len) {
             return Err(self.err(
                 CheckKind::BadRegistration,
@@ -644,24 +525,6 @@ impl MetaPool {
     /// object is an illegal free (guarantee T5).
     pub fn drop_obj(&mut self, addr: u64) -> Result<(), CheckError> {
         self.stats.drops += 1;
-        if let Some(b) = &self.shared {
-            let (plane, idx) = (b.reader.plane().clone(), b.idx);
-            return match plane.drop_obj(idx, addr) {
-                Ok((start, end)) => {
-                    // The epoch bump already killed every vCPU's MRU tags;
-                    // purging our own slots just keeps them tidy.
-                    if let Some(b) = &mut self.shared {
-                        for slot in &mut b.mru {
-                            if matches!(slot, Some((_, s, e)) if *s == start && *e == end) {
-                                *slot = None;
-                            }
-                        }
-                    }
-                    Ok(())
-                }
-                Err(e) => Err(self.err(e.kind, e.addr, e.detail)),
-            };
-        }
         match self.objects.remove(addr) {
             Some((start, end)) => {
                 if self.fast_path {
@@ -779,11 +642,6 @@ impl MetaPool {
     /// remaining objects that are in a kernel pool when a pool is
     /// destroyed", paper §4.3).
     pub fn clear(&mut self) {
-        if let Some(b) = &mut self.shared {
-            b.mru = [None; 2];
-            b.reader.plane().clear_pool(b.idx);
-            return;
-        }
         self.objects.clear();
         self.singleton = None;
         self.mru = [None; 2];
@@ -792,14 +650,9 @@ impl MetaPool {
         self.quiet_lookups = 0;
     }
 
-    /// All live ranges, ascending (diagnostics). For a shared-bound pool
-    /// this reads the plane's current snapshot (cold path: takes the
-    /// plane lock).
+    /// All live ranges, ascending (diagnostics).
     pub fn live_ranges(&self) -> Vec<(u64, u64)> {
-        match &self.shared {
-            Some(b) => b.reader.plane().snapshot().ranges(b.idx),
-            None => self.objects.iter_ranges(),
-        }
+        self.objects.iter_ranges()
     }
 
     /// Exports the pool's mutable state as a plain-data image for a
@@ -1158,53 +1011,6 @@ impl MetaPoolTable {
         }
         self.func_stats = CheckStats::from_words(func_stats);
         Ok(())
-    }
-
-    /// SMP bring-up, step 1: publishes every pool's live ranges into
-    /// `plane` — one fresh plane slot per pool, contiguous — and returns
-    /// the base slot index. Publishing the same table once per vCPU gives
-    /// each vCPU its own slot range (`base = vcpu * len()`) inside one
-    /// shared plane: lookups, registrations and epoch churn all share the
-    /// plane's snapshot/epoch machinery while each vCPU's kernel keeps
-    /// its own object namespace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool's live ranges overlap (impossible for a registry
-    /// that [`MetaPool::reg_obj`] built).
-    pub fn publish_to_plane(&self, plane: &SharedMetaPlane) -> u32 {
-        let mut base = None;
-        for p in &self.pools {
-            let idx = plane.add_pool();
-            base.get_or_insert(idx);
-            plane
-                .adopt(idx, &p.live_ranges())
-                .expect("live registry ranges are disjoint");
-        }
-        base.unwrap_or(0)
-    }
-
-    /// SMP bring-up, step 2: binds every pool of this table to `plane`
-    /// at slot range base 0 (plane slot = pool id, the layout a single
-    /// [`Self::publish_to_plane`] call created). Each vCPU's table binds
-    /// its own clone.
-    pub fn bind_shared(&mut self, plane: &Arc<SharedMetaPlane>) {
-        self.bind_shared_at(plane, 0);
-    }
-
-    /// Like [`Self::bind_shared`] with an explicit slot-range base: pool
-    /// `i` binds to plane slot `base + i` (the layout one
-    /// [`Self::publish_to_plane`] call per vCPU creates).
-    pub fn bind_shared_at(&mut self, plane: &Arc<SharedMetaPlane>, base: u32) {
-        for (i, p) in self.pools.iter_mut().enumerate() {
-            p.bind_shared(plane.clone(), base + i as u32);
-        }
-    }
-
-    /// Every pool's live ranges, in pool-id order (the per-job reset
-    /// baseline an SMP machine restores its plane slots to).
-    pub fn live_ranges_by_pool(&self) -> Vec<Vec<(u64, u64)>> {
-        self.pools.iter().map(|p| p.live_ranges()).collect()
     }
 }
 
@@ -1751,110 +1557,6 @@ mod tests {
         // Cross-wired images are rejected.
         let mut other = MetaPool::new("MPx", false, true, None);
         assert!(other.restore_image(&img).is_err());
-    }
-
-    /// Two pool clones bound to one plane, as two vCPUs would hold them.
-    fn shared_pair() -> (Arc<SharedMetaPlane>, MetaPool, MetaPool) {
-        let mut p = MetaPool::new("MPc", false, true, None);
-        p.reg_obj(0x1000, 64).unwrap();
-        let plane = Arc::new(SharedMetaPlane::new());
-        let mut t = MetaPoolTable::new();
-        t.add_pool(p);
-        t.publish_to_plane(&plane);
-        let mut t2 = t.clone();
-        t.bind_shared(&plane);
-        t2.bind_shared(&plane);
-        let id = MetaPoolId(0);
-        (plane, t.pool(id).clone(), t2.pool(id).clone())
-    }
-
-    #[test]
-    fn shared_binding_routes_checks_through_the_plane() {
-        let (plane, mut cpu0, mut cpu1) = shared_pair();
-        assert!(cpu0.is_shared());
-        // The adopted boot-time object is visible on both vCPUs.
-        cpu0.ls_check(0x1010).unwrap();
-        cpu1.bounds_check(0x1000, 0x1020).unwrap();
-        assert_eq!(cpu1.get_bounds(0x1010), Some((0x1000, 0x1040)));
-        // cpu0 registers; cpu1 sees it immediately (epoch moved).
-        cpu0.reg_obj(0x2000, 32).unwrap();
-        assert_eq!(plane.epoch(), 3); // add_pool + adopt + register
-        cpu1.ls_check(0x2010).unwrap();
-        // cpu1 drops it; cpu0's next probe must miss in every layer —
-        // including the MRU it may have filled under the old epoch.
-        cpu0.ls_check(0x2010).unwrap();
-        cpu1.drop_obj(0x2000).unwrap();
-        assert_eq!(
-            cpu0.ls_check(0x2010).unwrap_err().kind,
-            CheckKind::LoadStore
-        );
-        // Double free caught across vCPUs.
-        assert_eq!(
-            cpu0.drop_obj(0x2000).unwrap_err().kind,
-            CheckKind::IllegalFree
-        );
-        // Overlap caught across vCPUs; the error names the pool.
-        let e = cpu1.reg_obj(0x1010, 8).unwrap_err();
-        assert_eq!(e.kind, CheckKind::BadRegistration);
-        assert_eq!(e.pool, "MPc");
-    }
-
-    #[test]
-    fn shared_lookup_counters_partition_and_mru_is_epoch_tagged() {
-        let (_plane, mut cpu0, mut cpu1) = shared_pair();
-        // First probe fills the MRU from the page index, repeats hit it.
-        for _ in 0..5 {
-            cpu0.ls_check(0x1010).unwrap();
-        }
-        assert_eq!(cpu0.stats().page_hits, 1);
-        assert_eq!(cpu0.stats().cache_hits, 4);
-        assert_eq!(
-            cpu0.stats().singleton_hits,
-            0,
-            "no singleton layer when shared"
-        );
-        // Any publish — even of an unrelated object, even by this vCPU —
-        // invalidates the tag; the next probe re-reads the snapshot.
-        cpu1.reg_obj(0x9000, 8).unwrap();
-        cpu0.ls_check(0x1010).unwrap();
-        assert_eq!(cpu0.stats().page_hits, 2);
-        let s = *cpu0.stats();
-        assert_eq!(s.lookups(), s.cache_hits + s.page_hits + s.tree_walks);
-    }
-
-    #[test]
-    fn shared_quarantine_and_stats_stay_per_vcpu() {
-        let (_plane, mut cpu0, mut cpu1) = shared_pair();
-        cpu0.note_violation(3);
-        assert!(cpu0.quarantined());
-        assert_eq!(
-            cpu0.ls_check(0x1010).unwrap_err().kind,
-            CheckKind::Quarantined
-        );
-        // The other vCPU's clone keeps checking normally.
-        assert!(!cpu1.quarantined());
-        cpu1.ls_check(0x1010).unwrap();
-        assert_eq!(cpu1.stats().quarantine_rejects, 0);
-    }
-
-    #[test]
-    fn shared_corruption_and_clear_propagate_across_vcpus() {
-        let (_plane, mut cpu0, mut cpu1) = shared_pair();
-        cpu0.ls_check(0x1030).unwrap();
-        assert!(cpu1.inject_corrupt_metadata(0));
-        // The shrunken tail is wild on the *other* vCPU.
-        assert_eq!(
-            cpu0.ls_check(0x1030).unwrap_err().kind,
-            CheckKind::LoadStore
-        );
-        cpu0.ls_check(0x1010).unwrap();
-        assert_eq!(cpu0.live_objects(), 1);
-        cpu1.clear();
-        assert_eq!(cpu0.live_objects(), 0);
-        assert_eq!(
-            cpu0.ls_check(0x1010).unwrap_err().kind,
-            CheckKind::LoadStore
-        );
     }
 
     #[test]

@@ -5,17 +5,14 @@
 //!
 //! * **Shared, read-only**: the translated code image (`Arc<CodeImage>`,
 //!   translation and superinstruction fusion happen once).
-//! * **Shared, epoch-published**: metapool object metadata lives in one
-//!   [`SharedMetaPlane`]. Each vCPU owns a contiguous slot range inside
-//!   the plane (its kernel instance's object namespace), but every vCPU
-//!   reads through the same snapshot/epoch machinery: any registration
-//!   or drop publishes a new epoch, which invalidates every vCPU's
-//!   epoch-tagged MRU lines at the cost of a single `Acquire` load on
-//!   their next lookup — cross-CPU invalidation with zero traffic.
 //! * **Private**: memory image, thread state, recovery-domain stack,
-//!   per-vCPU MRU/singleton caches, `CheckStats`, `VmStats`, console and
-//!   trace sinks. [`Vm::fork_for_cpu`] deep-clones these, and the
-//!   kernel-stack window is carved into per-CPU lanes.
+//!   the metapool table (object registries, MRU/page/singleton caches,
+//!   `CheckStats`), `VmStats`, console and trace sinks.
+//!   [`Vm::fork_for_cpu`] deep-clones these, and the kernel-stack window
+//!   is carved into per-CPU lanes. Each vCPU runs its own kernel
+//!   instance, so its metapools hold only its own objects and no vCPU
+//!   ever reads another's registry: the checks of paper §4.5 need no
+//!   cross-CPU synchronization.
 //!
 //! Work arrives as [`SmpJob`]s on per-vCPU run queues. An idle vCPU
 //! first drains its own queue, then *steals* from its neighbours
@@ -26,24 +23,23 @@
 //!
 //! At halt the per-vCPU reports are merged **deterministically in
 //! cpu-id order** and job results are returned in submission order.
-//! With `vcpus == 1` no plane is created and no thread is spawned: the
-//! single fork takes exactly the classic machine's code path, so its
-//! `VmStats::equivalence_key` is byte-identical to the pre-SMP machine.
+//! With `vcpus == 1` no thread is spawned. Every job, at any vCPU count,
+//! takes exactly the classic machine's code path, so its `VmStats` are
+//! byte-identical to the same boot on the pre-SMP machine.
 //!
 //! Throughput is reported in *virtual time*: the machine-level elapsed
-//! time of a run is the maximum virtual cycle count over vCPUs (they
-//! run concurrently), while syscalls served is the sum — so
-//! `syscalls_per_mcycle` scales with vCPU count as long as the shared
-//! plane does not serialize the check path. Wall-clock time is recorded
-//! too, but on a single-core host it measures host scheduling, not the
-//! machine.
+//! time of a run is the largest per-vCPU cycle total under the initial
+//! round-robin deal (job `i` on vCPU `i mod n`), so it does not depend on
+//! which host thread stole which job, while syscalls served is the sum.
+//! Wall-clock time is recorded too, but on a single-core host it
+//! measures host scheduling, not the machine.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use sva_rt::{CheckStats, SharedMetaPlane};
+use sva_rt::CheckStats;
 
 use crate::migrate::MigrateError;
 use crate::snapshot::{fnv64, SnapshotError};
@@ -62,9 +58,9 @@ pub struct SmpJob {
     pub label: String,
     /// Globals written before boot, in order.
     pub globals: Vec<(String, u64)>,
-    /// Per-job setup run on the fresh fork after its plane slot range is
-    /// bound but before the globals are written — fault-injection
-    /// campaigns arm a per-job plan and enable crash capture here.
+    /// Per-job setup run on the fresh fork before the globals are
+    /// written — fault-injection campaigns arm a per-job plan and enable
+    /// crash capture here.
     pub setup: Option<JobSetup>,
 }
 
@@ -151,15 +147,16 @@ pub struct SmpReport {
     pub merged: VmStats,
     /// Total syscalls served (`merged.traps`).
     pub total_syscalls: u64,
-    /// Virtual elapsed time of the run: max cycles over vCPUs.
+    /// Virtual elapsed time of the run: the largest per-vCPU sum of job
+    /// cycles when job `i` is dealt to vCPU `i mod vcpus` (the initial
+    /// run-queue assignment, before any stealing).
     pub max_cpu_cycles: u64,
     /// Host wall-clock time of the run (scheduling noise included).
     pub wall: Duration,
-    /// Plane epoch after the run (0 with no plane).
+    /// Always 0. Kept so benchmark code that reported the epochs a
+    /// shared metadata plane published per batch still compiles; vCPUs
+    /// now keep private metapools and publish nothing.
     pub final_epoch: u64,
-    /// Superseded plane snapshots still pinned at halt (deferred
-    /// reclamation backlog; 0 once every vCPU quiesced).
-    pub retired_snapshots: usize,
 }
 
 impl SmpReport {
@@ -208,13 +205,6 @@ pub struct SmpMachine {
     template: Vm,
     vcpus: u32,
     affinity: IrqAffinity,
-    /// The shared metadata plane (`None` when `vcpus == 1`).
-    plane: Option<Arc<SharedMetaPlane>>,
-    /// Plane slot-range base per vCPU (`cpu * pools_per_cpu`).
-    slot_base: Vec<u32>,
-    /// Per-pool live ranges of the pristine template — what each slot
-    /// range is reset to before a job boots.
-    baseline: Vec<Vec<(u64, u64)>>,
     /// Round-robin cursor for `IrqAffinity::Spread`.
     irq_next: u32,
     /// Vectors queued per vCPU, delivered to its next job.
@@ -224,29 +214,14 @@ pub struct SmpMachine {
 impl SmpMachine {
     /// Builds the machine around a pristine (never-run) template VM.
     /// `cfg.vcpus` and `cfg.irq_affinity` on the template's config choose
-    /// the geometry. At `vcpus >= 2` the template's pool table is
-    /// published into a fresh shared plane once per vCPU; at `vcpus == 1`
-    /// no plane exists and jobs take the classic single-machine path.
+    /// the geometry.
     pub fn new(template: Vm) -> SmpMachine {
         let vcpus = template.cfg.vcpus.max(1);
         let affinity = template.cfg.irq_affinity;
-        let baseline = template.pools.live_ranges_by_pool();
-        let (plane, slot_base) = if vcpus >= 2 {
-            let plane = Arc::new(SharedMetaPlane::new());
-            let bases = (0..vcpus)
-                .map(|_| template.pools.publish_to_plane(&plane))
-                .collect();
-            (Some(plane), bases)
-        } else {
-            (None, vec![0])
-        };
         SmpMachine {
             template,
             vcpus,
             affinity,
-            plane,
-            slot_base,
-            baseline,
             irq_next: 0,
             irq_pending: (0..vcpus).map(|_| VecDeque::new()).collect(),
         }
@@ -257,9 +232,11 @@ impl SmpMachine {
         self.vcpus
     }
 
-    /// The shared metadata plane (`None` at `vcpus == 1`).
-    pub fn plane(&self) -> Option<&Arc<SharedMetaPlane>> {
-        self.plane.as_ref()
+    /// Always `None`: vCPUs keep private metapools, so there is no
+    /// shared metadata plane. Kept so benchmark code that sampled the
+    /// plane's epoch still compiles.
+    pub fn plane(&self) -> Option<&NoPlane> {
+        None
     }
 
     /// The pristine template machine.
@@ -315,7 +292,7 @@ impl SmpMachine {
         let this: &SmpMachine = self;
         let start = Instant::now();
         let per_cpu: Vec<(CpuReport, Vec<JobResult>)> = if n == 1 {
-            // Single vCPU: no threads, no plane — the classic machine.
+            // Single vCPU: no threads — the classic machine.
             vec![this.vcpu_loop(0, &state, irq_plans.pop().unwrap_or_default())]
         } else {
             std::thread::scope(|s| {
@@ -334,34 +311,7 @@ impl SmpMachine {
             })
         };
         let wall = start.elapsed();
-        let mut cpus = Vec::with_capacity(n);
-        let mut job_results = Vec::with_capacity(total);
-        for (rep, mut rs) in per_cpu {
-            cpus.push(rep);
-            job_results.append(&mut rs);
-        }
-        cpus.sort_by_key(|c| c.cpu);
-        job_results.sort_by_key(|r| r.job);
-        let mut merged = VmStats::default();
-        for c in &cpus {
-            merged.fold(&c.stats);
-        }
-        let max_cpu_cycles = cpus.iter().map(|c| c.stats.cycles).max().unwrap_or(0);
-        let (final_epoch, retired_snapshots) = match &self.plane {
-            Some(p) => (p.epoch(), p.retired_live()),
-            None => (0, 0),
-        };
-        SmpReport {
-            vcpus: self.vcpus,
-            cpus,
-            total_syscalls: merged.traps,
-            merged,
-            jobs: job_results,
-            max_cpu_cycles,
-            wall,
-            final_epoch,
-            retired_snapshots,
-        }
+        self.merge_report(per_cpu, wall)
     }
 
     /// One vCPU's scheduler loop: own queue, then steal, then park.
@@ -431,22 +381,11 @@ impl SmpMachine {
         (rep, results)
     }
 
-    /// Forks the template for `cpu`, resets and binds the vCPU's plane
-    /// slot range, runs the job's setup hook, writes its globals and
-    /// queues its IRQ vectors — everything up to (but excluding) boot.
+    /// Forks the template for `cpu`, runs the job's setup hook, writes
+    /// its globals and queues its IRQ vectors — everything up to (but
+    /// excluding) boot.
     fn prepare_fork(&self, cpu: u32, job: &SmpJob, irqs: &[i64]) -> (Vm, Option<VmError>) {
         let mut vm = self.template.fork_for_cpu(cpu);
-        if let Some(plane) = &self.plane {
-            let base = self.slot_base[cpu as usize];
-            for (i, ranges) in self.baseline.iter().enumerate() {
-                let slot = base + i as u32;
-                plane.clear_pool(slot);
-                plane
-                    .adopt(slot, ranges)
-                    .expect("baseline ranges are disjoint");
-            }
-            vm.pools.bind_shared_at(plane, base);
-        }
         if let Some(setup) = &job.setup {
             setup(&mut vm);
         }
@@ -463,9 +402,8 @@ impl SmpMachine {
         (vm, global_err)
     }
 
-    /// Executes one job on `cpu`: fork the template, reset and bind the
-    /// vCPU's plane slot range, write the job's globals, queue its IRQ
-    /// vectors, boot.
+    /// Executes one job on `cpu`: fork the template, write the job's
+    /// globals, queue its IRQ vectors, boot.
     fn run_job(&self, cpu: u32, ji: usize, job: &SmpJob, irqs: &[i64]) -> JobResult {
         let (mut vm, global_err) = self.prepare_fork(cpu, job, irqs);
         let exit = match global_err {
@@ -654,26 +592,7 @@ impl SmpMachine {
         let mut per_cpu = Vec::with_capacity(members.len());
         for (cpu, member) in members.iter().enumerate() {
             let mut vm = self.template.fork_for_cpu(cpu as u32);
-            // Restore into the unbound fork first (pool images repopulate
-            // the private registries), then publish the *restored* ranges
-            // into this vCPU's plane slots and bind — the same bring-up
-            // order `MetaPoolTable::publish_to_plane` + `bind_shared_at`
-            // use at machine construction.
             vm.restore_migrated(member)?;
-            if let Some(plane) = &self.plane {
-                let base = self.slot_base[cpu];
-                for (i, ranges) in vm.pools.live_ranges_by_pool().iter().enumerate() {
-                    let slot = base + i as u32;
-                    plane.clear_pool(slot);
-                    plane.adopt(slot, ranges).map_err(|e| {
-                        MigrateError::Image(SnapshotError::Malformed(format!(
-                            "member {cpu} pool ranges rejected by the plane: {}",
-                            e.detail
-                        )))
-                    })?;
-                }
-                vm.pools.bind_shared_at(plane, base);
-            }
             let exit = vm.run();
             let r = JobResult {
                 job: cpu,
@@ -706,22 +625,35 @@ impl SmpMachine {
         for c in &cpus {
             merged.fold(&c.stats);
         }
-        let max_cpu_cycles = cpus.iter().map(|c| c.stats.cycles).max().unwrap_or(0);
-        let (final_epoch, retired_snapshots) = match &self.plane {
-            Some(p) => (p.epoch(), p.retired_live()),
-            None => (0, 0),
-        };
+        let n = self.vcpus as usize;
+        let mut dealt = vec![0u64; n];
+        for r in &job_results {
+            dealt[r.job % n] += r.stats.cycles;
+        }
         SmpReport {
             vcpus: self.vcpus,
             cpus,
             total_syscalls: merged.traps,
             merged,
             jobs: job_results,
-            max_cpu_cycles,
+            max_cpu_cycles: dealt.into_iter().max().unwrap_or(0),
             wall,
-            final_epoch,
-            retired_snapshots,
+            final_epoch: 0,
         }
+    }
+}
+
+/// The type [`SmpMachine::plane`] would name if the machine still had a
+/// shared metadata plane. It has no values, so `plane()` can only return
+/// `None`; it exists only so benchmark code that sampled the plane's
+/// epoch still compiles.
+#[derive(Debug)]
+pub enum NoPlane {}
+
+impl NoPlane {
+    /// Unreachable: no `NoPlane` value exists.
+    pub fn epoch(&self) -> u64 {
+        match *self {}
     }
 }
 

@@ -209,9 +209,9 @@ pub struct VmConfig {
     /// Virtual CPUs of the machine (DESIGN.md §4.9). `1` (the default) is
     /// the classic single-threaded machine, bit-identical to the pre-SMP
     /// VM. At 2+ the [`crate::smp::SmpMachine`] runner forks one full VM
-    /// per vCPU sharing the code image and an epoch-published metapool
-    /// plane; each vCPU keeps its private MRU, check counters and trace
-    /// rings, merged deterministically at halt.
+    /// per vCPU sharing only the code image; each vCPU keeps its private
+    /// metapools, check counters and trace rings, merged deterministically
+    /// at halt.
     pub vcpus: u32,
     /// How SMP machines route queued interrupts to vCPUs (ignored at
     /// `vcpus == 1`).
@@ -1202,11 +1202,10 @@ impl<T: Tracer> Vm<T> {
     /// from this booted machine's state. The code image is *shared*
     /// (`Arc` — translation and fusion happen once); everything mutable —
     /// memory, thread, interrupt contexts, recovery-domain stack, pool
-    /// table with its private MRU/counters — is deep-cloned, so each vCPU
-    /// steps without synchronizing. Shared metadata comes later:
-    /// [`MetaPoolTable::bind_shared`] rebinds each fork's pools to the
-    /// machine's plane. The fork starts with fresh stats/fuel/forensics
-    /// and an untraced sink; per-vCPU counters are merged back at halt.
+    /// table with its object registries, caches and counters — is
+    /// deep-cloned, so each vCPU steps without synchronizing. The fork
+    /// starts with fresh stats/fuel/forensics and an untraced sink;
+    /// per-vCPU counters are merged back at halt.
     ///
     /// Kernel stacks are per-CPU: the `KSTACK` window is carved into
     /// `cfg.vcpus` equal lanes and the fork's kernel stack pointer starts

@@ -1,25 +1,21 @@
 //! SMP machine gates (DESIGN.md §4.9).
 //!
-//! 1. **N=1 equivalence**: a 1-vCPU [`SmpMachine`] creates no shared
-//!    plane and spawns no threads, so its stats must be *byte-identical*
-//!    (full `VmStats`, not just the equivalence key) to the classic
-//!    single machine across the opt-equivalence kernel corpus.
-//! 2. **Shared-plane coherence**: concurrent register/drop racing
-//!    checked loads on 2–4 vCPU pool clones must never answer from a
-//!    stale epoch (a missed use-after-free) and never miss a violation
-//!    — verified both by seeded deterministic schedules against a model
-//!    registry and by a free-running multithreaded race.
-//! 3. **4-vCPU kernel runs**: merged totals are deterministic, the
-//!    virtual-time syscall throughput scales, and IRQ affinity routes
-//!    vectors where the policy says.
+//! 1. **Per-job equivalence**: every vCPU fork keeps private metapools
+//!    and takes the classic machine's code path, so each job's stats
+//!    must be *byte-identical* (full `VmStats` and `CheckStats`, not
+//!    just the equivalence key) to the classic single machine across
+//!    the opt-equivalence kernel corpus, at 1, 2 and 4 vCPUs.
+//! 2. **4-vCPU kernel runs**: per-job stats and the virtual makespan are
+//!    deterministic, the virtual-time syscall throughput scales, and IRQ
+//!    affinity routes vectors where the policy says.
+//! 3. **Coordinated quiesce**: a quiesced image resumes to the same
+//!    terminal state, and an N=1 member equals a solo mid-flight snapshot.
+//! 4. **Exploit detection** is 4/5 at every vCPU count.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sva::kernel::harness::{boot_user, make_vm_cfg, pack_arg};
-use sva::rt::{CheckKind, MetaPool, SharedMetaPlane};
-use sva::vm::{decode_quiesce, IrqAffinity, KernelKind, SmpJob, SmpMachine, VmConfig, VmStats};
+use sva::vm::{decode_quiesce, IrqAffinity, KernelKind, SmpJob, SmpMachine, VmConfig};
 
 fn cfg(kind: KernelKind, opt: u8, vcpus: u32) -> VmConfig {
     VmConfig {
@@ -40,10 +36,10 @@ fn corpus() -> Vec<(&'static str, u64)> {
     ]
 }
 
-// ---- 1. N=1 byte-identity -------------------------------------------------
+// ---- 1. per-job byte-identity --------------------------------------------
 
 #[test]
-fn single_vcpu_machine_is_byte_identical_to_the_classic_machine() {
+fn every_vcpu_job_is_byte_identical_to_the_classic_machine() {
     for kind in [KernelKind::Native, KernelKind::SvaSafe] {
         for opt in [0u8, 2] {
             for (prog, arg) in corpus() {
@@ -51,178 +47,39 @@ fn single_vcpu_machine_is_byte_identical_to_the_classic_machine() {
                 let mut vm = make_vm_cfg(cfg(kind, opt, 1));
                 let exit = boot_user(&mut vm, prog, arg).expect("classic boot");
                 let classic = vm.stats();
+                let classic_checks = vm.pools.total_stats();
 
-                // 1-vCPU SMP machine, same config.
-                let template = make_vm_cfg(cfg(kind, opt, 1));
-                let addr = template.func_address(prog).expect("prog exists");
-                let mut smp = SmpMachine::new(template);
-                assert!(smp.plane().is_none(), "N=1 must not create a plane");
-                let report = smp.run(vec![SmpJob::boot_user(prog, addr, arg)]);
+                for vcpus in [1u32, 2, 4] {
+                    // One job per vCPU, same config otherwise.
+                    let template = make_vm_cfg(cfg(kind, opt, vcpus));
+                    let addr = template.func_address(prog).expect("prog exists");
+                    let mut smp = SmpMachine::new(template);
+                    let jobs = (0..vcpus)
+                        .map(|_| SmpJob::boot_user(prog, addr, arg))
+                        .collect();
+                    let report = smp.run(jobs);
 
-                let jr = &report.jobs[0];
-                assert_eq!(jr.exit.as_ref().unwrap(), &exit, "{kind:?} {prog}");
-                // Full stats — cycles and fused_execs included — must
-                // match, which subsumes the equivalence_key gate.
-                assert_eq!(jr.stats, classic, "{kind:?} opt{opt} {prog}");
-                assert_eq!(
-                    jr.stats.equivalence_key(),
-                    classic.equivalence_key(),
-                    "{kind:?} opt{opt} {prog}"
-                );
-                assert_eq!(report.merged, classic);
-                assert_eq!(report.cpus.len(), 1);
-                assert_eq!(report.cpus[0].steals, 0);
-            }
-        }
-    }
-}
-
-// ---- 2. shared-plane coherence -------------------------------------------
-
-/// Builds `n` pool clones bound to one plane slot, with `boot` objects
-/// adopted as the shared baseline.
-fn shared_pools(n: usize, boot: &[(u64, u64)]) -> (Arc<SharedMetaPlane>, Vec<MetaPool>) {
-    let plane = Arc::new(SharedMetaPlane::new());
-    let slot = plane.add_pool();
-    plane.adopt(slot, boot).expect("boot ranges disjoint");
-    let pools = (0..n)
-        .map(|i| {
-            let mut p = MetaPool::new(&format!("smp{i}"), false, true, None);
-            p.bind_shared(plane.clone(), slot);
-            p
-        })
-        .collect();
-    (plane, pools)
-}
-
-/// Deterministic seeded schedules: `k` logical vCPUs interleave
-/// register / drop / checked-load steps chosen by an LCG, and every
-/// checked load is compared against a model registry. A hit the model
-/// says is dead is a stale-epoch answer (missed use-after-free); a miss
-/// the model says is live is a lost registration. Both are fatal.
-#[test]
-fn seeded_schedules_never_see_stale_epochs_or_miss_violations() {
-    const STABLE: (u64, u64) = (0x1000, 0x1040);
-    for vcpus in 2..=4usize {
-        for seed in [1u64, 2, 3, 5, 8, 13, 21, 34] {
-            let (_plane, mut pools) = shared_pools(vcpus, &[STABLE]);
-            let mut live: HashSet<u64> = HashSet::new();
-            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-            let mut step = || {
-                rng = rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                rng >> 33
-            };
-            for _ in 0..400 {
-                let cpu = (step() as usize) % vcpus;
-                let obj = 0x10_000 + (step() % 8) * 0x100; // 8 slots, 64B objects
-                match step() % 4 {
-                    // Register: succeeds iff the model says dead.
-                    0 => {
-                        let r = pools[cpu].reg_obj(obj, 64);
-                        if live.insert(obj) {
-                            r.unwrap_or_else(|e| panic!("seed {seed}: lost registration: {e}"));
-                        } else {
-                            let e = r.expect_err("double registration must fail");
-                            assert_eq!(e.kind, CheckKind::BadRegistration);
-                        }
+                    for jr in &report.jobs {
+                        let at = format!("{kind:?} opt{opt} {prog} vcpus{vcpus} cpu{}", jr.cpu);
+                        assert_eq!(jr.exit.as_ref().unwrap(), &exit, "{at}");
+                        // Full stats — cycles, fused_execs and the lookup
+                        // layer split included — must match, which
+                        // subsumes the equivalence_key gate.
+                        assert_eq!(jr.stats, classic, "{at}");
+                        assert_eq!(jr.checks, classic_checks, "{at}");
                     }
-                    // Drop: succeeds iff the model says live.
-                    1 => {
-                        let r = pools[cpu].drop_obj(obj);
-                        if live.remove(&obj) {
-                            r.unwrap_or_else(|e| panic!("seed {seed}: lost drop: {e}"));
-                        } else {
-                            let e = r.expect_err("freeing a dead object must fail");
-                            assert_eq!(e.kind, CheckKind::IllegalFree);
-                        }
+                    if vcpus == 1 {
+                        assert_eq!(report.merged, classic);
+                        assert_eq!(report.cpus.len(), 1);
+                        assert_eq!(report.cpus[0].steals, 0);
                     }
-                    // Checked load on a churn object: pass iff live.
-                    2 => {
-                        let r = pools[cpu].ls_check(obj + 8);
-                        if live.contains(&obj) {
-                            r.unwrap_or_else(|e| {
-                                panic!("seed {seed}: checked load lost a live object: {e}")
-                            });
-                        } else {
-                            assert!(
-                                r.is_err(),
-                                "seed {seed}: stale hit on dead {obj:#x} (missed violation)"
-                            );
-                        }
-                    }
-                    // Checked load on the stable boot object: always live,
-                    // from every vCPU, at every epoch.
-                    _ => {
-                        pools[cpu]
-                            .ls_check(STABLE.0 + 0x10)
-                            .expect("stable object must stay visible");
-                    }
-                }
-            }
-            // Every vCPU sees the final model state.
-            for (i, p) in pools.iter_mut().enumerate() {
-                for slot in 0..8u64 {
-                    let obj = 0x10_000 + slot * 0x100;
-                    let r = p.ls_check(obj + 8);
-                    assert_eq!(
-                        r.is_ok(),
-                        live.contains(&obj),
-                        "seed {seed}: vCPU {i} disagrees with model on {obj:#x}"
-                    );
                 }
             }
         }
     }
 }
 
-/// Free-running race: one writer vCPU churns register/drop while reader
-/// vCPUs hammer checked loads through their own `MetaPool` clones. The
-/// stable object must never miss; after the writer quiesces with the
-/// churn object dropped, a hit on it would be a stale-epoch answer.
-#[test]
-fn racing_checked_loads_never_use_stale_metadata() {
-    const STABLE: (u64, u64) = (0x1000, 0x1040);
-    const CHURN: u64 = 0x8000;
-    for readers in [1usize, 3] {
-        let (plane, mut pools) = shared_pools(readers + 1, &[STABLE]);
-        let mut writer_pool = pools.pop().unwrap();
-        let quiesced = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            let q = quiesced.clone();
-            let p = plane.clone();
-            s.spawn(move || {
-                for _ in 0..300 {
-                    writer_pool.reg_obj(CHURN, 32).expect("churn register");
-                    writer_pool.drop_obj(CHURN).expect("churn drop");
-                }
-                let _ = p; // plane outlives the writer's bindings
-                q.store(1, Ordering::Release);
-            });
-            for mut pool in pools {
-                let q = quiesced.clone();
-                s.spawn(move || {
-                    while q.load(Ordering::Acquire) == 0 {
-                        pool.ls_check(STABLE.0 + 8)
-                            .expect("stable object must never miss");
-                    }
-                    // Writer done, churn object dead: a passing check
-                    // here means a reader used retired metadata.
-                    assert!(
-                        pool.ls_check(CHURN + 8).is_err(),
-                        "stale hit on dropped churn object"
-                    );
-                    assert!(pool.ls_check(STABLE.0 + 8).is_ok());
-                });
-            }
-        });
-        // All snapshots pinned by exited vCPUs have been reclaimed.
-        assert_eq!(plane.retired_live(), 0);
-    }
-}
-
-// ---- 3. multi-vCPU kernel runs -------------------------------------------
+// ---- 2. multi-vCPU kernel runs -------------------------------------------
 
 fn smp_jobs(template: &sva::vm::Vm, reps: usize) -> Vec<SmpJob> {
     let mut jobs = Vec::new();
@@ -241,28 +98,27 @@ fn four_vcpu_kernel_batch_is_clean_and_deterministic() {
         let template = make_vm_cfg(cfg(KernelKind::SvaSafe, 2, 4));
         let jobs = smp_jobs(&template, 2);
         let mut smp = SmpMachine::new(template);
-        assert!(smp.plane().is_some());
         smp.run(jobs)
     };
     let a = run();
     let b = run();
     assert!(a.failures().is_empty(), "failures: {:?}", a.failures());
     assert_eq!(a.jobs.len(), 6);
-    assert!(a.final_epoch > 0, "shared plane saw no publishes");
-    assert_eq!(a.retired_snapshots, 0, "snapshots leaked past quiescence");
     // Work-conserving: every job ran exactly once, whatever the steal
     // schedule did.
     assert_eq!(a.cpus.iter().map(|c| u64::from(c.jobs)).sum::<u64>(), 6);
-    // The merged machine totals are schedule-independent. (The split
-    // between MRU hits and snapshot layers is not: a sibling's publish
-    // can kill an MRU line, so only the lookup *sum* is stable.)
-    assert_eq!(a.merged.instructions, b.merged.instructions);
-    assert_eq!(a.merged.traps, b.merged.traps);
-    assert_eq!(a.merged.cycles, b.merged.cycles);
-    assert_eq!(
-        a.merged.cache_hits + a.merged.page_hits + a.merged.tree_walks + a.merged.singleton_hits,
-        b.merged.cache_hits + b.merged.page_hits + b.merged.tree_walks + b.merged.singleton_hits,
-    );
+    // Each job's stats are schedule-independent, whichever vCPU ran it,
+    // and so are the merged totals and the virtual makespan.
+    for (x, y) in a.jobs.iter().zip(&b.jobs) {
+        assert_eq!(x.stats, y.stats, "job {} stats differ across runs", x.job);
+        assert_eq!(
+            x.checks, y.checks,
+            "job {} checks differ across runs",
+            x.job
+        );
+    }
+    assert_eq!(a.merged, b.merged);
+    assert_eq!(a.max_cpu_cycles, b.max_cpu_cycles);
     // Jobs land in submission order with their labels intact.
     assert_eq!(a.jobs[0].label, "user_getpid_loop");
     for (i, j) in a.jobs.iter().enumerate() {
@@ -334,7 +190,7 @@ fn irq_affinity_routes_vectors_where_the_policy_says() {
     assert!(r.failures().is_empty());
 }
 
-// ---- 4. coordinated quiesce snapshots (DESIGN.md §4.10) -------------------
+// ---- 3. coordinated quiesce snapshots (DESIGN.md §4.10) -------------------
 
 /// Fuel each corpus workload consumes booting clean on this config —
 /// `min/2` is a boundary every quiesce member still hits mid-flight.
@@ -348,17 +204,6 @@ fn midflight_boundary(c: &VmConfig) -> u64 {
     }
     assert!(min > 4, "corpus boots too short to cut mid-flight");
     min / 2
-}
-
-/// The merged-machine equivalence key for SMP resume probes: a sibling's
-/// epoch publish can kill an MRU cache line at a schedule-dependent
-/// instruction, so only the `cache_hits + page_hits` *sum* is stable
-/// between a threaded run and its serially resumed twin.
-fn smp_key(s: &VmStats) -> VmStats {
-    let mut k = (*s).equivalence_key();
-    k.cache_hits += k.page_hits;
-    k.page_hits = 0;
-    k
 }
 
 /// The §4.10 acceptance gate: a 4-vCPU `quiesce()` yields one
@@ -404,8 +249,8 @@ fn four_vcpu_quiesce_image_resumes_to_the_same_terminal_state() {
         );
         assert_eq!(a.console, b.console, "vCPU {} console diverged", a.cpu);
         assert_eq!(
-            smp_key(&a.stats),
-            smp_key(&b.stats),
+            a.stats.equivalence_key(),
+            b.stats.equivalence_key(),
             "vCPU {} stats diverged after resume",
             a.cpu
         );
@@ -456,12 +301,12 @@ fn single_vcpu_quiesce_member_is_byte_identical_to_a_solo_midflight_snapshot() {
     );
 }
 
-// ---- 5. Exploit detection under SMP ---------------------------------------
+// ---- 4. Exploit detection under SMP ---------------------------------------
 
 /// The §7.2 exploit suite run as SMP jobs: the detection rate must be
 /// exactly 4/5 (the paper's as-tested result) at every vCPU count —
-/// sharding the check path behind the epoch-published plane can neither
-/// open nor close a detection gap.
+/// spreading jobs across vCPUs with private metapools can neither open
+/// nor close a detection gap.
 #[test]
 fn exploit_detection_is_vcpu_invariant() {
     use sva::exploits::{EXPLOITS, EXPLOIT_FUEL};
