@@ -26,9 +26,10 @@
 //! recorded boot-time pool drops into the plan
 //! ([`FaultPlan::replay_drops`], so `StaleUse` learns the same
 //! use-after-free candidates a re-booted machine would), then
-//! [`Vm::run`]. A fork-vs-reboot cross-check cell per arm gates that the
-//! shortcut is byte-identical; `--verify-reboot` extends the check to
-//! every cell and `--reboot` runs the legacy full-reboot campaign.
+//! [`Vm::run`]. A fork-vs-reboot cross-check cell per arm re-runs one
+//! cell on a freshly booted machine and gates that the shortcut is
+//! byte-identical (`tests/snapshot.rs` gates the same equivalence over
+//! a small grid on every `cargo test`).
 //!
 //! **Crash forensics.** Every campaign machine runs with an always-on
 //! [`FlightRecorder`] and per-cell crash capture: any machine death
@@ -148,27 +149,6 @@ impl Arm {
         match self {
             Arm::Flat => "flat",
             Arm::Nested => "nested",
-        }
-    }
-}
-
-/// How each campaign cell obtains its post-boot machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BootMode {
-    /// Boot once per (arm, workload, budget), fork cells from the image.
-    Fork,
-    /// Legacy behavior: boot the kernel freshly for every cell.
-    Reboot,
-    /// Run every cell both ways and gate on byte-identical results.
-    VerifyReboot,
-}
-
-impl BootMode {
-    fn name(self) -> &'static str {
-        match self {
-            BootMode::Fork => "fork",
-            BootMode::Reboot => "reboot",
-            BootMode::VerifyReboot => "verify_reboot",
         }
     }
 }
@@ -356,7 +336,8 @@ fn finish_run(
     }
 }
 
-/// Legacy cell: boot the kernel freshly under the armed plan.
+/// Reference cell for the fork-vs-reboot cross-check: boot the kernel
+/// freshly under the armed plan.
 #[allow(clippy::too_many_arguments)]
 fn run_one_reboot(
     arm: Arm,
@@ -432,7 +413,7 @@ fn scratch_vm(arm: Arm, budget: u32) -> CampVm {
 }
 
 /// Everything one arm's grid needs: probe targets, per-workload stranded
-/// baselines and (outside `--reboot`) the shared post-boot images.
+/// baselines and the shared post-boot images.
 struct ArmCtx {
     arm: Arm,
     targets: Vec<u32>,
@@ -442,16 +423,12 @@ struct ArmCtx {
 }
 
 impl ArmCtx {
-    fn build(arm: Arm, mode: BootMode) -> ArmCtx {
+    fn build(arm: Arm) -> ArmCtx {
         let targets = complete_pools(arm);
         let baselines = std::array::from_fn(|i| clean_baseline(arm, WORKLOADS[i]));
-        let images = if mode == BootMode::Reboot {
-            Vec::new()
-        } else {
-            (0..WORKLOADS.len())
-                .map(|wi| (wi, boot_image(arm, WORKLOADS[wi], BUDGET)))
-                .collect()
-        };
+        let images = (0..WORKLOADS.len())
+            .map(|wi| (wi, boot_image(arm, WORKLOADS[wi], BUDGET)))
+            .collect();
         ArmCtx {
             arm,
             targets,
@@ -469,10 +446,6 @@ fn image_for(images: &[(usize, BootImage)], wi: usize) -> &BootImage {
         .expect("boot image for workload")
 }
 
-/// Runs one grid cell under the selected boot mode. In `VerifyReboot`
-/// mode the cell runs both ways; a divergence bumps `mismatches` (gated
-/// nonzero-exit in `main`). `scratch` is the column's reusable forked
-/// machine (must match `budget`); `None` only in `Reboot` mode.
 /// Deterministic grid-cell identity, used as the crash-bundle filename
 /// stem so every dying cell leaves a stable, replayable artifact.
 fn cell_tag(arm: Arm, class: FaultClass, seed: u64, wi: usize, budget: u32) -> String {
@@ -486,76 +459,31 @@ fn cell_tag(arm: Arm, class: FaultClass, seed: u64, wi: usize, budget: u32) -> S
     )
 }
 
+/// Runs one grid cell forked from its column's post-boot image.
+/// `scratch` is the column's reusable forked machine (must match
+/// `budget`).
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
-    mode: BootMode,
     ctx: &ArmCtx,
-    scratch: Option<&mut CampVm>,
+    scratch: &mut CampVm,
     class: FaultClass,
     seed: u64,
     wi: usize,
     budget: u32,
     images: &[(usize, BootImage)],
-    mismatches: &mut u64,
     deaths: &mut BTreeSet<String>,
 ) -> Option<RunResult> {
-    let baseline = ctx.baselines[wi];
     let tag = cell_tag(ctx.arm, class, seed, wi, budget);
-    let result = match mode {
-        BootMode::Reboot => run_one_reboot(
-            ctx.arm,
-            class,
-            seed,
-            WORKLOADS[wi],
-            budget,
-            baseline,
-            &ctx.targets,
-            &tag,
-        ),
-        BootMode::Fork => run_one_forked(
-            scratch.expect("fork mode needs a scratch machine"),
-            ctx.arm,
-            class,
-            seed,
-            baseline,
-            &ctx.targets,
-            image_for(images, wi),
-            &tag,
-        ),
-        BootMode::VerifyReboot => {
-            let f = run_one_forked(
-                scratch.expect("verify mode needs a scratch machine"),
-                ctx.arm,
-                class,
-                seed,
-                baseline,
-                &ctx.targets,
-                image_for(images, wi),
-                &tag,
-            );
-            let r = run_one_reboot(
-                ctx.arm,
-                class,
-                seed,
-                WORKLOADS[wi],
-                budget,
-                baseline,
-                &ctx.targets,
-                &tag,
-            );
-            if f != r {
-                *mismatches += 1;
-                eprintln!(
-                    "FORK/REBOOT MISMATCH ({} {} seed {} workload {}):\n  fork:   {f:?}\n  reboot: {r:?}",
-                    ctx.arm.name(),
-                    class.name(),
-                    seed,
-                    WORKLOADS[wi].0,
-                );
-            }
-            f
-        }
-    };
+    let result = run_one_forked(
+        scratch,
+        ctx.arm,
+        class,
+        seed,
+        ctx.baselines[wi],
+        &ctx.targets,
+        image_for(images, wi),
+        &tag,
+    );
     if let Some(rr) = &result {
         if matches!(rr.outcome, Outcome::HaltedPoisoned | Outcome::HaltedClean) {
             deaths.insert(tag);
@@ -1492,13 +1420,8 @@ fn bundle_dir() -> std::path::PathBuf {
     }
 }
 
-fn run_arm(
-    mode: BootMode,
-    ctx: &ArmCtx,
-    mismatches: &mut u64,
-    deaths: &mut BTreeSet<String>,
-) -> (Tally, Vec<(FaultClass, Tally)>) {
-    let mut scratch = (mode != BootMode::Reboot).then(|| scratch_vm(ctx.arm, BUDGET));
+fn run_arm(ctx: &ArmCtx, deaths: &mut BTreeSet<String>) -> (Tally, Vec<(FaultClass, Tally)>) {
+    let mut scratch = scratch_vm(ctx.arm, BUDGET);
     let mut total = Tally::default();
     let mut per_class = Vec::new();
     for class in FaultClass::ALL {
@@ -1506,15 +1429,13 @@ fn run_arm(
         for seed in SEEDS {
             for wi in 0..WORKLOADS.len() {
                 let r = run_cell(
-                    mode,
                     ctx,
-                    scratch.as_mut(),
+                    &mut scratch,
                     class,
                     seed,
                     wi,
                     BUDGET,
                     &ctx.images,
-                    mismatches,
                     deaths,
                 );
                 tally.absorb(&r);
@@ -1539,7 +1460,6 @@ fn run_arm(
 }
 
 fn main() {
-    let mut mode = BootMode::Fork;
     let mut smp_vcpus: u32 = 4;
     let mut upgrade = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1550,8 +1470,6 @@ fn main() {
             std::process::exit(2);
         };
         match args[i].as_str() {
-            "--reboot" => mode = BootMode::Reboot,
-            "--verify-reboot" => mode = BootMode::VerifyReboot,
             "--upgrade" => upgrade = true,
             "--vcpus" => {
                 i += 1;
@@ -1563,9 +1481,7 @@ fn main() {
                     smp_vcpus = v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| bad(v));
                 }
                 None => {
-                    eprintln!(
-                        "faultcamp: unknown flag {other} (expected --reboot, --verify-reboot, --upgrade or --vcpus N)"
-                    );
+                    eprintln!("faultcamp: unknown flag {other} (expected --upgrade or --vcpus N)");
                     std::process::exit(2);
                 }
             },
@@ -1581,23 +1497,21 @@ fn main() {
     // sanity gate for the proc_table geometry — a clean run must strand
     // nothing beyond its own baseline), and the shared post-boot images.
     let t_boot = Instant::now();
-    let flat_ctx = ArmCtx::build(Arm::Flat, mode);
-    let nested_ctx = ArmCtx::build(Arm::Nested, mode);
+    let flat_ctx = ArmCtx::build(Arm::Flat);
+    let nested_ctx = ArmCtx::build(Arm::Nested);
     let mut boot_wall = t_boot.elapsed();
-    if mode != BootMode::Reboot {
-        let (n, bytes) = [&flat_ctx, &nested_ctx]
-            .iter()
-            .flat_map(|c| &c.images)
-            .fold((0u64, 0u64), |(n, b), (_, img)| {
-                (n + 1, b + img.bytes.len() as u64)
-            });
-        println!(
-            "boot images: {} columns, {} KiB total ({} ms)",
-            n,
-            bytes / 1024,
-            boot_wall.as_millis(),
-        );
-    }
+    let (n, bytes) = [&flat_ctx, &nested_ctx]
+        .iter()
+        .flat_map(|c| &c.images)
+        .fold((0u64, 0u64), |(n, b), (_, img)| {
+            (n + 1, b + img.bytes.len() as u64)
+        });
+    println!(
+        "boot images: {} columns, {} KiB total ({} ms)",
+        n,
+        bytes / 1024,
+        boot_wall.as_millis(),
+    );
 
     // Determinism gate on both arms: the same plan on the same workload
     // must replay bit-identically — stats, injections and blast radius.
@@ -1605,23 +1519,21 @@ fn main() {
     let mut mismatches = 0u64;
     let mut deaths = BTreeSet::new();
     for ctx in [&flat_ctx, &nested_ctx] {
-        let mut scratch = (mode != BootMode::Reboot).then(|| scratch_vm(ctx.arm, BUDGET));
-        let mut cell = |scratch: Option<&mut CampVm>, deaths: &mut BTreeSet<String>| {
+        let mut scratch = scratch_vm(ctx.arm, BUDGET);
+        let mut cell = |deaths: &mut BTreeSet<String>| {
             run_cell(
-                mode,
                 ctx,
-                scratch,
+                &mut scratch,
                 FaultClass::WildPtr,
                 SEEDS[0],
                 0,
                 BUDGET,
                 &ctx.images,
-                &mut mismatches,
                 deaths,
             )
         };
-        let d0 = cell(scratch.as_mut(), &mut deaths);
-        let d1 = cell(scratch.as_mut(), &mut deaths);
+        let d0 = cell(&mut deaths);
+        let d1 = cell(&mut deaths);
         if d0 != d1 || d0.is_none() {
             deterministic = false;
             eprintln!(
@@ -1631,47 +1543,44 @@ fn main() {
         }
     }
 
-    // Fork/reboot cross-check: in the default fork mode one cell per arm
-    // also runs the legacy re-boot path and must match byte-identically —
-    // a standing canary that forking is an optimization, not a semantic
-    // change. (`--verify-reboot` extends this to every cell.)
-    if mode == BootMode::Fork {
-        for ctx in [&flat_ctx, &nested_ctx] {
-            let mut scratch = scratch_vm(ctx.arm, BUDGET);
-            let tag = cell_tag(ctx.arm, FaultClass::WildPtr, SEEDS[0], 0, BUDGET);
-            let f = run_one_forked(
-                &mut scratch,
-                ctx.arm,
-                FaultClass::WildPtr,
-                SEEDS[0],
-                ctx.baselines[0],
-                &ctx.targets,
-                image_for(&ctx.images, 0),
-                &tag,
+    // Fork/reboot cross-check: one cell per arm also runs on a freshly
+    // booted machine and must match byte-identically — a standing canary
+    // that forking is an optimization, not a semantic change.
+    for ctx in [&flat_ctx, &nested_ctx] {
+        let mut scratch = scratch_vm(ctx.arm, BUDGET);
+        let tag = cell_tag(ctx.arm, FaultClass::WildPtr, SEEDS[0], 0, BUDGET);
+        let f = run_one_forked(
+            &mut scratch,
+            ctx.arm,
+            FaultClass::WildPtr,
+            SEEDS[0],
+            ctx.baselines[0],
+            &ctx.targets,
+            image_for(&ctx.images, 0),
+            &tag,
+        );
+        let r = run_one_reboot(
+            ctx.arm,
+            FaultClass::WildPtr,
+            SEEDS[0],
+            WORKLOADS[0],
+            BUDGET,
+            ctx.baselines[0],
+            &ctx.targets,
+            &tag,
+        );
+        if f != r || f.is_none() {
+            mismatches += 1;
+            eprintln!(
+                "FORK/REBOOT MISMATCH ({} cross-check):\n  fork:   {f:?}\n  reboot: {r:?}",
+                ctx.arm.name()
             );
-            let r = run_one_reboot(
-                ctx.arm,
-                FaultClass::WildPtr,
-                SEEDS[0],
-                WORKLOADS[0],
-                BUDGET,
-                ctx.baselines[0],
-                &ctx.targets,
-                &tag,
-            );
-            if f != r || f.is_none() {
-                mismatches += 1;
-                eprintln!(
-                    "FORK/REBOOT MISMATCH ({} cross-check):\n  fork:   {f:?}\n  reboot: {r:?}",
-                    ctx.arm.name()
-                );
-            }
         }
     }
 
     let t_grid = Instant::now();
-    let (flat_total, flat_classes) = run_arm(mode, &flat_ctx, &mut mismatches, &mut deaths);
-    let (nested_total, nested_classes) = run_arm(mode, &nested_ctx, &mut mismatches, &mut deaths);
+    let (flat_total, flat_classes) = run_arm(&flat_ctx, &mut deaths);
+    let (nested_total, nested_classes) = run_arm(&nested_ctx, &mut deaths);
     let grid_wall = t_grid.elapsed();
 
     // Degradation sub-run: budget 1, so a single violation poisons its
@@ -1679,32 +1588,25 @@ fn main() {
     // the machine keeps answering. The violation budget is part of the
     // snapshot config fingerprint, so this sub-run forks from its own
     // budget-1 images.
-    let degr_images: Vec<(usize, BootImage)> = if mode == BootMode::Reboot {
-        Vec::new()
-    } else {
-        let t = Instant::now();
-        let imgs = [1usize, 3]
-            .into_iter()
-            .map(|wi| (wi, boot_image(Arm::Nested, WORKLOADS[wi], 1)))
-            .collect();
-        boot_wall += t.elapsed();
-        imgs
-    };
-    let mut degr_scratch = (mode != BootMode::Reboot).then(|| scratch_vm(Arm::Nested, 1));
+    let t = Instant::now();
+    let degr_images: Vec<(usize, BootImage)> = [1usize, 3]
+        .into_iter()
+        .map(|wi| (wi, boot_image(Arm::Nested, WORKLOADS[wi], 1)))
+        .collect();
+    boot_wall += t.elapsed();
+    let mut degr_scratch = scratch_vm(Arm::Nested, 1);
     let mut degr = Tally::default();
     let mut degraded_runs = 0u64;
     for seed in [1, 2, 3] {
         for wi in [1usize, 3] {
             let r = run_cell(
-                mode,
                 &nested_ctx,
-                degr_scratch.as_mut(),
+                &mut degr_scratch,
                 FaultClass::WildPtr,
                 seed,
                 wi,
                 1,
                 &degr_images,
-                &mut mismatches,
                 &mut deaths,
             );
             if let Some(rr) = &r {
@@ -1813,7 +1715,7 @@ fn main() {
     };
     let json = format!(
         concat!(
-            "{{\"campaign\":\"faultcamp\",\"boot_mode\":\"{}\",\"deterministic\":{},",
+            "{{\"campaign\":\"faultcamp\",\"deterministic\":{},",
             "\"wall_ms\":{{\"boot_images\":{},\"grid\":{},\"total\":{}}},",
             "\"flat\":{},\"nested\":{},",
             "\"degradation\":{{\"tally\":{},\"degraded_runs\":{}}},",
@@ -1830,7 +1732,6 @@ fn main() {
             "\"crash_bundle_cells\":{},\"bundle_replay_failures\":{},",
             "\"smp_machine_deaths\":{},\"smp_escapes\":{}}}}}\n"
         ),
-        mode.name(),
         deterministic,
         ms(boot_wall),
         ms(grid_wall),
@@ -1897,8 +1798,7 @@ fn main() {
         nested_total.contained_boot,
     );
     println!(
-        "mode {}: boot/imaging {} ms, grid {} ms, total {} ms",
-        mode.name(),
+        "wall: boot/imaging {} ms, grid {} ms, total {} ms",
         ms(boot_wall),
         ms(grid_wall),
         ms(total_wall),

@@ -49,7 +49,10 @@ use crate::vm::{KernelKind, Vm, VmConfig, VmStats};
 pub const BUNDLE_MAGIC: [u8; 4] = *b"SVAB";
 /// Current bundle format version. Bump on any payload-layout change.
 /// v3: records the faulting vCPU id and carries the widened (10-word,
-/// `vcpus`-bearing) config fingerprint of snapshot v3.
+/// `vcpus`-bearing) config fingerprint of snapshot v3. This is the only
+/// bundle version any entry point reads — `migrate_bundle` decodes with
+/// [`CrashBundle::from_bytes`] and migrates just the embedded snapshot —
+/// so a bump must ship its own upcaster for the previous layout.
 pub const BUNDLE_VERSION: u32 = 3;
 /// Header size in bytes.
 const HEADER_LEN: usize = 24;

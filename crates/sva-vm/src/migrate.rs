@@ -7,12 +7,15 @@
 //! tonight's build, and a crash bundle captured by v(N) must replay on
 //! v(N+1). This module is the deliberate, fail-closed bridge:
 //!
-//! * **Versioned upcasters.** A registry of per-version steps rewrites a
-//!   v(N) image into v(N+1) form (appended-with-default stats words,
-//!   pool poison attribution, single-vCPU identity, capture origin +
-//!   code manifest). [`migrate`] chains them; a step that cannot carry a
-//!   field forward fails closed with [`MigrateError::Incompatible`]
-//!   naming that field — it never invents data.
+//! * **A two-version window.** This build reads the snapshot format it
+//!   writes (v4) and the one the previous build wrote (v3); bundles are
+//!   read in the current format only. The single registered upcaster
+//!   adds the capture origin and code manifest; [`reencode_at`] drops
+//!   them again for the differential campaign's v3 twins. A step that
+//!   cannot carry a field forward fails closed with
+//!   [`MigrateError::Incompatible`] naming that field — it never invents
+//!   data. Anything older is refused with
+//!   [`MigrateError::UnsupportedVersion`].
 //!
 //! * **The `code_id` policy split.** A v4 image carries a
 //!   [`crate::snapshot::CodeManifest`]: the module's surface fingerprint
@@ -24,35 +27,34 @@
 //!   functions, changed globals, a live function edited mid-flight)
 //!   rejects with the first incompatible field named.
 //!
-//! * **Bundle migration.** `SVAB` crash bundles follow the same chain:
-//!   legacy layouts are rewritten to the current one and the embedded
-//!   snapshot is migrated along the way, so `svadbg --replay` works on
-//!   bundles from older builds.
+//! * **Bundle migration.** An `SVAB` crash bundle is decoded by the
+//!   strict [`CrashBundle::from_bytes`] and its embedded snapshot is
+//!   migrated, so `svadbg --replay` works on bundles whose snapshot was
+//!   written by the previous build.
 //!
 //! Decoding is structural and fail-closed in the snapshot.rs tradition
 //! (the mutation proptests in `tests/fuzz.rs` drive bit-flipped and
-//! truncated images through [`migrate`]); sections whose wire layout
-//! never changed across versions are carried verbatim as byte spans, so
-//! migration cost is dominated by one pass over the image.
+//! truncated images through [`migrate`]). v3 and v4 share every payload
+//! byte from the fingerprint through `cpu_id`, so that body is walked
+//! once (to validate it and find the live frames) and carried verbatim.
 
 use std::collections::BTreeSet;
 
-use sva_rt::{CheckStats, PoolImage, PoolSummary};
+use sva_rt::CheckStats;
 use sva_trace::Tracer;
 
-use crate::bundle::{CrashBundle, CrashReason, DomainDump, BUNDLE_MAGIC, BUNDLE_VERSION};
+use crate::bundle::{BundleError, CrashBundle, BUNDLE_MAGIC, BUNDLE_VERSION};
 use crate::snapshot::{
     fingerprint_words, fnv64, read_frames, read_icontext, read_manifest, read_origin,
-    read_pool_image, read_recovery, read_saved_state, surface_fp_of, write_manifest,
-    write_pool_image, CodeManifest, SnapshotError, FP_FIELDS, HEADER_LEN as SNAP_HEADER,
-    ORIGIN_CHECKPOINT, R, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, W,
+    read_pool_image, read_recovery, read_saved_state, surface_fp_of, write_manifest, CodeManifest,
+    SnapshotError, FP_FIELDS, HEADER_LEN as SNAP_HEADER, ORIGIN_CHECKPOINT, R, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION, W,
 };
-use crate::vm::{Frame, Vm, VmStats};
+use crate::vm::{Frame, Vm};
 
-/// The oldest snapshot format [`migrate`] can still read.
-pub const OLDEST_SUPPORTED: u32 = 1;
-/// The oldest bundle format [`migrate_bundle`] can still read.
-pub const OLDEST_BUNDLE_SUPPORTED: u32 = 1;
+/// The oldest snapshot format [`migrate`] can still read: the one the
+/// previous build wrote. The next format bump retires it.
+pub const OLDEST_SUPPORTED: u32 = 3;
 
 /// Why an image could not be migrated. Migration never partially
 /// applies and never invents state: any step that cannot carry a field
@@ -62,9 +64,12 @@ pub enum MigrateError {
     /// The image failed structural decoding (truncation, bad magic,
     /// checksum mismatch, malformed section).
     Image(SnapshotError),
+    /// A crash bundle failed structural decoding.
+    Bundle(BundleError),
     /// The image's format version is outside `[OLDEST_SUPPORTED,
-    /// SNAPSHOT_VERSION]` (or the bundle equivalent) — including images
-    /// from a *newer* build, which this build cannot interpret.
+    /// SNAPSHOT_VERSION]`, or a bundle's is not `BUNDLE_VERSION` —
+    /// including artifacts from a *newer* build, which this build cannot
+    /// interpret.
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
@@ -88,6 +93,7 @@ impl std::fmt::Display for MigrateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MigrateError::Image(e) => write!(f, "image rejected: {e}"),
+            MigrateError::Bundle(e) => write!(f, "bundle rejected: {e}"),
             MigrateError::UnsupportedVersion { found, newest } => {
                 write!(
                     f,
@@ -112,6 +118,18 @@ impl From<SnapshotError> for MigrateError {
     }
 }
 
+impl From<BundleError> for MigrateError {
+    fn from(e: BundleError) -> MigrateError {
+        match e {
+            BundleError::BadVersion { found, expected } => MigrateError::UnsupportedVersion {
+                found,
+                newest: expected,
+            },
+            other => MigrateError::Bundle(other),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Upcaster registry.
 // ---------------------------------------------------------------------------
@@ -124,7 +142,7 @@ pub struct Upcaster {
     pub from: u32,
     /// Target format version.
     pub to: u32,
-    /// Short name (`"v1→v2"`).
+    /// Short name (`"v3→v4"`).
     pub name: &'static str,
     /// What the step rewrites.
     pub summary: &'static str,
@@ -132,31 +150,14 @@ pub struct Upcaster {
 
 /// The registry, in chain order. `migrate` applies the suffix starting
 /// at the image's version.
-pub const UPCASTERS: [Upcaster; 3] = [
-    Upcaster {
-        from: 1,
-        to: 2,
-        name: "v1→v2",
-        summary: "pool poison attribution (`poisoned_by`/`repairs`) and the five \
-                  self-healing stats words, appended with zero defaults; fails \
-                  closed on an already-poisoned pool (no attribution to invent)",
-    },
-    Upcaster {
-        from: 2,
-        to: 3,
-        name: "v2→v3",
-        summary: "single-vCPU identity: `vcpus=1` joins the config fingerprint \
-                  and the payload gains `cpu_id=0`",
-    },
-    Upcaster {
-        from: 3,
-        to: 4,
-        name: "v3→v4",
-        summary: "capture origin (checkpoint) and the code manifest; a v3 image \
-                  carries no manifest, so this step requires the restoring \
-                  build to run the exact code the image was taken under",
-    },
-];
+pub const UPCASTERS: [Upcaster; 1] = [Upcaster {
+    from: 3,
+    to: 4,
+    name: "v3→v4",
+    summary: "capture origin (checkpoint) and the code manifest; a v3 image \
+              carries no manifest, so this step requires the restoring \
+              build to run the exact code the image was taken under",
+}];
 
 /// What a given artifact would take to reach the current formats, from
 /// the header alone (no target machine needed). `svadbg --migrate`
@@ -174,8 +175,6 @@ pub struct MigrationPlan {
     pub code_id: u64,
     /// Upcaster chain the snapshot (or embedded snapshot) would take.
     pub steps: Vec<Upcaster>,
-    /// For bundles: the bundle's own layout rewrite, if any.
-    pub bundle_step: Option<String>,
 }
 
 /// What [`migrate`] actually did.
@@ -191,36 +190,18 @@ pub struct MigrationReport {
 }
 
 // ---------------------------------------------------------------------------
-// Structural decode: version-variant sections typed, invariant sections
-// carried as verbatim byte spans.
+// Structural decode: the fingerprint typed, the v3/v4-invariant body
+// carried as one verbatim byte span.
 // ---------------------------------------------------------------------------
-
-/// Stats-word field names appended after v1, for fail-closed downgrade
-/// messages. Index 0 is stats word 17.
-const STATS_V2_FIELDS: [&str; 5] = [
-    "repairs",
-    "pools_repaired",
-    "probation_passed",
-    "probation_failed",
-    "subsys_retired",
-];
 
 struct MigImage<'a> {
     version: u32,
     code_id: u64,
-    /// Config fingerprint words: 9 (v1/v2) or 10 (v3+).
-    fp: Vec<u64>,
-    /// Kernel memory through the interrupt table — layout-invariant
-    /// across every supported version, carried verbatim.
-    mid: &'a [u8],
-    pools: Vec<PoolImage>,
-    /// Function check-stats words + console — invariant, verbatim.
-    func_console: &'a [u8],
-    /// 17 (v1) or 22 (v2+) stats words.
-    stats: Vec<u64>,
-    /// Fuel through `trap_count` — invariant, verbatim.
-    tail: &'a [u8],
-    cpu_id: Option<u32>,
+    fp: [u64; FP_FIELDS.len()],
+    /// Payload after the fingerprint through `cpu_id` — identical in v3
+    /// and v4, carried verbatim.
+    body: &'a [u8],
+    /// v4 only: capture origin and code manifest.
     origin: Option<u8>,
     manifest: Option<CodeManifest>,
     /// Function indices with at least one live frame anywhere in the
@@ -232,46 +213,6 @@ fn note_frames(live: &mut BTreeSet<u32>, frames: &[Frame]) {
     for f in frames {
         live.insert(f.func);
     }
-}
-
-/// Reads a v1 pool image (no `poisoned_by`/`repairs` on the wire) into
-/// the current struct with zero defaults.
-fn read_pool_image_v1(r: &mut R<'_>) -> Result<PoolImage, SnapshotError> {
-    let name = r.str()?;
-    let n = r.len("pool ranges")?;
-    let mut ranges = Vec::with_capacity(n);
-    for _ in 0..n {
-        ranges.push((r.u64()?, r.u64()?));
-    }
-    let mut stats = [0u64; CheckStats::WORDS];
-    for word in &mut stats {
-        *word = r.u64()?;
-    }
-    let fast_path = r.bool()?;
-    let singleton_path = r.bool()?;
-    let mut mru = [None; 2];
-    for slot in &mut mru {
-        if r.bool()? {
-            *slot = Some((r.u64()?, r.u64()?));
-        }
-    }
-    Ok(PoolImage {
-        name,
-        ranges,
-        stats,
-        fast_path,
-        singleton_path,
-        mru,
-        quiet_lookups: r.u32()?,
-        last_layer: r.u8()?,
-        quarantined: r.bool()?,
-        poisoned: r.bool()?,
-        violations: r.u32()?,
-        scope_violations: r.u32()?,
-        forced_reg_failures: r.u32()?,
-        poisoned_by: 0,
-        repairs: 0,
-    })
 }
 
 /// Parses any supported header, returning `(version, code_id, payload)`.
@@ -320,14 +261,13 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
     let (version, code_id, payload) = split_image(image)?;
     let mut live_funcs = BTreeSet::new();
     let r = &mut R::new(payload);
-    let nfp = if version >= 3 { 10 } else { 9 };
-    let mut fp = Vec::with_capacity(nfp);
-    for _ in 0..nfp {
-        fp.push(r.u64()?);
+    let mut fp = [0u64; FP_FIELDS.len()];
+    for word in &mut fp {
+        *word = r.u64()?;
     }
-    // Memory through the interrupt table: walk structurally (to validate
-    // and harvest live frame functions), carry verbatim.
-    let mid_start = r.pos;
+    // Everything through `cpu_id`: walk structurally (to validate and
+    // harvest live frame functions), carry verbatim.
+    let body_start = r.pos;
     r.sparse()?; // kernel
     let nspaces = r.len("address spaces")?;
     for _ in 0..nspaces {
@@ -365,32 +305,17 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
         r.i64()?;
         r.u32()?;
     }
-    let mid = &payload[mid_start..r.pos];
-    // Pools: version-variant.
     let n = r.len("pool images")?;
-    let mut pools = Vec::with_capacity(n);
     for _ in 0..n {
-        pools.push(if version >= 2 {
-            read_pool_image(r)?
-        } else {
-            read_pool_image_v1(r)?
-        });
+        read_pool_image(r)?;
     }
-    // Function stats + console: invariant.
-    let fc_start = r.pos;
     for _ in 0..CheckStats::WORDS {
-        r.u64()?;
+        r.u64()?; // function check stats
     }
     r.bytes()?; // console
-    let func_console = &payload[fc_start..r.pos];
-    // Stats: 17 (v1) or 22 words.
-    let nstats = if version >= 2 { 22 } else { 17 };
-    let mut stats = Vec::with_capacity(nstats);
-    for _ in 0..nstats {
-        stats.push(r.u64()?);
+    for _ in 0..22 {
+        r.u64()?; // machine stats
     }
-    // Fuel through trap_count: walk structurally, carry verbatim.
-    let tail_start = r.pos;
     r.u64()?; // fuel
     if r.bool()? {
         r.u64()?; // halted code
@@ -419,8 +344,8 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
     } // pending_skew
     r.u64()?; // call_floor
     r.u64()?; // trap_count
-    let tail = &payload[tail_start..r.pos];
-    let cpu_id = if version >= 3 { Some(r.u32()?) } else { None };
+    r.u32()?; // cpu_id
+    let body = &payload[body_start..r.pos];
     let (origin, manifest) = if version >= 4 {
         (Some(read_origin(r)?), Some(read_manifest(r)?))
     } else {
@@ -437,43 +362,21 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
         version,
         code_id,
         fp,
-        mid,
-        pools,
-        func_console,
-        stats,
-        tail,
-        cpu_id,
+        body,
         origin,
         manifest,
         live_funcs,
     })
 }
 
-/// Re-encodes a decoded image at format version `to`. The caller has
-/// already stepped the in-memory fields to that version's shape.
-fn encode_at(img: &MigImage<'_>, to: u32) -> Vec<u8> {
+/// Re-encodes a decoded image at its (possibly stepped) version.
+fn encode(img: &MigImage<'_>) -> Vec<u8> {
     let mut w = W::default();
     for &word in &img.fp {
         w.u64(word);
     }
-    w.buf.extend_from_slice(img.mid);
-    w.u64(img.pools.len() as u64);
-    for p in &img.pools {
-        if to >= 2 {
-            write_pool_image(&mut w, p);
-        } else {
-            write_pool_image_v1(&mut w, p);
-        }
-    }
-    w.buf.extend_from_slice(img.func_console);
-    for &word in &img.stats {
-        w.u64(word);
-    }
-    w.buf.extend_from_slice(img.tail);
-    if let Some(cpu) = img.cpu_id {
-        w.u32(cpu);
-    }
-    if to >= 4 {
+    w.buf.extend_from_slice(img.body);
+    if img.version >= 4 {
         w.u8(img.origin.unwrap_or(ORIGIN_CHECKPOINT));
         write_manifest(
             &mut w,
@@ -483,7 +386,7 @@ fn encode_at(img: &MigImage<'_>, to: u32) -> Vec<u8> {
     let payload = w.buf;
     let mut out = Vec::with_capacity(SNAP_HEADER + payload.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&to.to_le_bytes());
+    out.extend_from_slice(&img.version.to_le_bytes());
     let fp_bytes: Vec<u8> = img.fp.iter().flat_map(|w| w.to_le_bytes()).collect();
     out.extend_from_slice(&fnv64(&fp_bytes).to_le_bytes());
     out.extend_from_slice(&img.code_id.to_le_bytes());
@@ -493,39 +396,8 @@ fn encode_at(img: &MigImage<'_>, to: u32) -> Vec<u8> {
     out
 }
 
-fn write_pool_image_v1(w: &mut W, img: &PoolImage) {
-    w.str(&img.name);
-    w.u64(img.ranges.len() as u64);
-    for &(s, e) in &img.ranges {
-        w.u64(s);
-        w.u64(e);
-    }
-    for &word in &img.stats {
-        w.u64(word);
-    }
-    w.bool(img.fast_path);
-    w.bool(img.singleton_path);
-    for slot in img.mru {
-        match slot {
-            Some((s, e)) => {
-                w.bool(true);
-                w.u64(s);
-                w.u64(e);
-            }
-            None => w.bool(false),
-        }
-    }
-    w.u32(img.quiet_lookups);
-    w.u8(img.last_layer);
-    w.bool(img.quarantined);
-    w.bool(img.poisoned);
-    w.u32(img.violations);
-    w.u32(img.scope_violations);
-    w.u32(img.forced_reg_failures);
-}
-
 // ---------------------------------------------------------------------------
-// Upcast / downcast steps over the in-memory image.
+// Upcast steps over the in-memory image.
 // ---------------------------------------------------------------------------
 
 /// What `migrate` needs to know about the restoring build.
@@ -535,49 +407,13 @@ struct TargetInfo {
     fp: [u64; FP_FIELDS.len()],
 }
 
-fn upcast(
-    img: &mut MigImage<'_>,
-    step: &Upcaster,
-    target: Option<&TargetInfo>,
-) -> Result<(), MigrateError> {
+fn upcast(img: &mut MigImage<'_>, step: &Upcaster, t: &TargetInfo) -> Result<(), MigrateError> {
     match (step.from, step.to) {
-        (1, 2) => {
-            // v1 pools carry no poison attribution. Zero-defaulting the
-            // new fields is only sound for pools that were never
-            // poisoned; an already-poisoned pool would need an inventing
-            // `poisoned_by`, so fail closed naming it.
-            if let Some(p) = img.pools.iter().find(|p| p.poisoned) {
-                return Err(MigrateError::Incompatible {
-                    from: 1,
-                    to: 2,
-                    field: "poisoned_by",
-                    detail: format!(
-                        "pool `{}` is poisoned but a v1 image records no poisoning \
-                         subsystem to attribute it to",
-                        p.name
-                    ),
-                });
-            }
-            img.stats.extend_from_slice(&[0; 5]);
-        }
-        (2, 3) => {
-            // Pre-SMP images are single-vCPU machines by construction.
-            img.fp.push(1);
-            img.cpu_id = Some(0);
-        }
         (3, 4) => {
             // A v3 image has no manifest of its own code; the only sound
             // source is the restoring build — and only when it runs the
             // exact code the image was taken under. Cross-build adoption
             // of v3 images is therefore impossible by design.
-            let t = target.ok_or_else(|| MigrateError::Incompatible {
-                from: 3,
-                to: 4,
-                field: "code_manifest",
-                detail: "reaching v4 requires the restoring machine's code manifest; \
-                         migrate against a target build"
-                    .into(),
-            })?;
             if img.code_id != t.code_id {
                 return Err(MigrateError::Incompatible {
                     from: 3,
@@ -596,81 +432,6 @@ fn upcast(
         _ => unreachable!("unregistered upcast {}→{}", step.from, step.to),
     }
     img.version = step.to;
-    Ok(())
-}
-
-fn downcast(img: &mut MigImage<'_>, from: u32) -> Result<(), MigrateError> {
-    let to = from - 1;
-    match from {
-        4 => {
-            img.origin = None;
-            img.manifest = None;
-        }
-        3 => {
-            if img.fp.get(9).copied() != Some(1) {
-                return Err(MigrateError::Incompatible {
-                    from,
-                    to,
-                    field: "vcpus",
-                    detail: format!(
-                        "v2 images are single-vCPU; this machine had vcpus={}",
-                        img.fp.get(9).copied().unwrap_or(0)
-                    ),
-                });
-            }
-            if img.cpu_id != Some(0) {
-                return Err(MigrateError::Incompatible {
-                    from,
-                    to,
-                    field: "cpu_id",
-                    detail: format!(
-                        "v2 images have no vCPU identity; this one was vCPU {}",
-                        img.cpu_id.unwrap_or(0)
-                    ),
-                });
-            }
-            img.fp.truncate(9);
-            img.cpu_id = None;
-        }
-        2 => {
-            for (i, name) in STATS_V2_FIELDS.iter().enumerate() {
-                if img.stats[17 + i] != 0 {
-                    return Err(MigrateError::Incompatible {
-                        from,
-                        to,
-                        field: name,
-                        detail: format!(
-                            "v1 images have no `{name}` stats word; this machine counted {}",
-                            img.stats[17 + i]
-                        ),
-                    });
-                }
-            }
-            if let Some(p) = img
-                .pools
-                .iter()
-                .find(|p| p.poisoned_by != 0 || p.repairs != 0)
-            {
-                return Err(MigrateError::Incompatible {
-                    from,
-                    to,
-                    field: if p.poisoned_by != 0 {
-                        "poisoned_by"
-                    } else {
-                        "repairs"
-                    },
-                    detail: format!(
-                        "pool `{}` carries poison attribution / repair history a v1 \
-                         image cannot express",
-                        p.name
-                    ),
-                });
-            }
-            img.stats.truncate(17);
-        }
-        _ => unreachable!("no downcast from v{from}"),
-    }
-    img.version = to;
     Ok(())
 }
 
@@ -796,10 +557,9 @@ impl<T: Tracer> Vm<T> {
     }
 }
 
-/// Rewrites `image` (any supported snapshot version) into the current
-/// format for the `target` machine, chaining [`UPCASTERS`] and — when
-/// the image was taken under a different build — the compatible-rebuild
-/// adoption policy. Returns the rewritten image and a report of the
+/// Rewrites `image` (v3 or v4) into the current format for the `target`
+/// machine, chaining [`UPCASTERS`] and — when the image was taken under
+/// a different build — the compatible-rebuild adoption policy. Returns the rewritten image and a report of the
 /// steps taken. Idempotent: an image already at the current version
 /// under the same code is returned byte-identically.
 pub fn migrate<T: Tracer>(
@@ -817,22 +577,21 @@ pub fn migrate<T: Tracer>(
     }
     let start = img.version;
     for step in UPCASTERS.iter().filter(|s| s.from >= start) {
-        upcast(&mut img, step, Some(&t))?;
+        upcast(&mut img, step, &t)?;
         report.steps.push(step.name);
     }
     if img.code_id != t.code_id {
         adopt_code(&mut img, &t)?;
         report.code_migrated = true;
     }
-    Ok((encode_at(&img, SNAPSHOT_VERSION), report))
+    Ok((encode(&img), report))
 }
 
-/// Re-encodes a snapshot at format version `to`, upcasting or
-/// downcasting as needed — the compat tool behind the composition
-/// proptests and the differential campaign's cross-version twins.
-/// Upcasting to v4 needs a target build ([`migrate`]); this function
-/// handles every other edge and fails closed (naming the field) on
-/// state an older format cannot express.
+/// Re-encodes a snapshot at format version `to` — the compat tool
+/// behind the composition proptests and the differential campaign's
+/// previous-version twins. Downcasting v4 → v3 drops the capture origin
+/// and code manifest; upcasting to v4 needs a target build, so it is
+/// refused here naming the field ([`migrate`] does it).
 pub fn reencode_at(image: &[u8], to: u32) -> Result<Vec<u8>, MigrateError> {
     if !(OLDEST_SUPPORTED..=SNAPSHOT_VERSION).contains(&to) {
         return Err(MigrateError::UnsupportedVersion {
@@ -841,7 +600,7 @@ pub fn reencode_at(image: &[u8], to: u32) -> Result<Vec<u8>, MigrateError> {
         });
     }
     let mut img = decode(image)?;
-    if to == SNAPSHOT_VERSION && img.version != SNAPSHOT_VERSION {
+    if to > img.version {
         return Err(MigrateError::Incompatible {
             from: img.version,
             to,
@@ -851,58 +610,39 @@ pub fn reencode_at(image: &[u8], to: u32) -> Result<Vec<u8>, MigrateError> {
                 .into(),
         });
     }
-    while img.version > to {
-        let from = img.version;
-        downcast(&mut img, from)?;
+    if to < img.version {
+        img.origin = None;
+        img.manifest = None;
+        img.version = to;
     }
-    while img.version < to {
-        let step = UPCASTERS
-            .iter()
-            .find(|s| s.from == img.version)
-            .expect("contiguous registry");
-        upcast(&mut img, step, None)?;
-    }
-    Ok(encode_at(&img, to))
+    Ok(encode(&img))
 }
 
 /// Header-level migration plan for a snapshot or bundle file — what
 /// `svadbg --migrate` prints. Validates magic, version and checksum;
-/// for bundles, decodes the payload far enough to reach the embedded
-/// snapshot's version.
+/// bundles are decoded in full to reach the embedded snapshot's header.
 pub fn plan(bytes: &[u8]) -> Result<MigrationPlan, MigrateError> {
-    if bytes.len() >= 4 && bytes[0..4] == BUNDLE_MAGIC {
-        let (bversion, bundle) = decode_bundle_any(bytes)?;
-        let (sversion, code_id, _) = split_image(&bundle.snapshot)?;
-        return Ok(MigrationPlan {
-            kind: "bundle",
-            version: bversion,
-            target: BUNDLE_VERSION,
-            code_id,
-            steps: UPCASTERS
-                .iter()
-                .filter(|s| s.from >= sversion)
-                .copied()
-                .collect(),
-            bundle_step: (bversion != BUNDLE_VERSION).then(|| {
-                format!(
-                    "SVAB v{bversion}→v{BUNDLE_VERSION}: widen config fingerprint \
-                     and stats block, default vCPU id / pool repair counters"
-                )
-            }),
-        });
-    }
-    let (version, code_id, _) = split_image(bytes)?;
+    let bundle = if bytes.starts_with(&BUNDLE_MAGIC) {
+        Some(CrashBundle::from_bytes(bytes)?)
+    } else {
+        None
+    };
+    let snapshot = bundle.as_ref().map_or(bytes, |b| &b.snapshot[..]);
+    let (sversion, code_id, _) = split_image(snapshot)?;
+    let (kind, version, target) = match bundle {
+        Some(_) => ("bundle", BUNDLE_VERSION, BUNDLE_VERSION),
+        None => ("snapshot", sversion, SNAPSHOT_VERSION),
+    };
     Ok(MigrationPlan {
-        kind: "snapshot",
+        kind,
         version,
-        target: SNAPSHOT_VERSION,
+        target,
         code_id,
         steps: UPCASTERS
             .iter()
-            .filter(|s| s.from >= version)
+            .filter(|s| s.from >= sversion)
             .copied()
             .collect(),
-        bundle_step: None,
     })
 }
 
@@ -910,158 +650,17 @@ pub fn plan(bytes: &[u8]) -> Result<MigrationPlan, MigrateError> {
 // Bundle migration.
 // ---------------------------------------------------------------------------
 
-/// Decodes an `SVAB` bundle of any supported version into the current
-/// in-memory form (legacy fields defaulted exactly like the snapshot
-/// upcasters do), returning the wire version alongside.
-fn decode_bundle_any(bytes: &[u8]) -> Result<(u32, CrashBundle), MigrateError> {
-    const BUNDLE_HEADER: usize = 24;
-    let err = |e: SnapshotError| MigrateError::Image(e);
-    if bytes.len() < BUNDLE_HEADER {
-        return Err(err(SnapshotError::Truncated {
-            need: BUNDLE_HEADER,
-            have: bytes.len(),
-        }));
-    }
-    let magic: [u8; 4] = bytes[0..4].try_into().unwrap();
-    if magic != BUNDLE_MAGIC {
-        return Err(err(SnapshotError::BadMagic(magic)));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if !(OLDEST_BUNDLE_SUPPORTED..=BUNDLE_VERSION).contains(&version) {
-        return Err(MigrateError::UnsupportedVersion {
-            found: version,
-            newest: BUNDLE_VERSION,
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    if bytes.len() < BUNDLE_HEADER + payload_len {
-        return Err(err(SnapshotError::Truncated {
-            need: BUNDLE_HEADER + payload_len,
-            have: bytes.len(),
-        }));
-    }
-    let payload = &bytes[BUNDLE_HEADER..BUNDLE_HEADER + payload_len];
-    let computed = fnv64(payload);
-    if computed != checksum {
-        return Err(err(SnapshotError::Corrupt {
-            stored: checksum,
-            computed,
-        }));
-    }
-    let r = &mut R::new(payload);
-    let reason_code = r.u8()?;
-    let reason = CrashReason::from_code(reason_code).ok_or_else(|| {
-        err(SnapshotError::Malformed(format!(
-            "bad reason byte {reason_code}"
-        )))
-    })?;
-    let halt_code = r.u64()?;
-    let resume_code_raw = r.u64()?;
-    let detail = r.str()?;
-    let cpu = if version >= 3 { r.u32()? } else { 0 };
-    let nfp = if version >= 3 { 10 } else { 9 };
-    let mut config_words = [0u64; FP_FIELDS.len()];
-    for w in config_words.iter_mut().take(nfp) {
-        *w = r.u64()?;
-    }
-    if version < 3 {
-        config_words[9] = 1; // pre-SMP bundles are single-vCPU machines
-    }
-    let code_id = r.u64()?;
-    let nstats = if version >= 2 { 22 } else { 17 };
-    let mut stat_words = [0u64; 22];
-    for w in stat_words.iter_mut().take(nstats) {
-        *w = r.u64()?;
-    }
-    let stats: VmStats = crate::snapshot::stats_from_words(stat_words);
-    let console = r.bytes()?;
-    let ndomains = r.len("domains")?;
-    let mut domains = Vec::with_capacity(ndomains);
-    for _ in 0..ndomains {
-        let subsys = r.u64()?;
-        let fuel = r.u64()?;
-        let npools = r.len("domain quarantined pools")?;
-        let mut quarantined_pools = Vec::with_capacity(npools);
-        for _ in 0..npools {
-            quarantined_pools.push(r.u32()?);
-        }
-        domains.push(DomainDump {
-            subsys,
-            fuel,
-            quarantined_pools,
-        });
-    }
-    let npools = r.len("pool summaries")?;
-    let mut pools = Vec::with_capacity(npools);
-    for _ in 0..npools {
-        pools.push(PoolSummary {
-            id: r.u32()?,
-            name: r.str()?,
-            complete: r.bool()?,
-            live_objects: r.u64()?,
-            checks: r.u64()?,
-            violations: r.u32()?,
-            quarantined: r.bool()?,
-            poisoned: r.bool()?,
-            repairs: if version >= 2 { r.u32()? } else { 0 },
-        });
-    }
-    let nhealth = r.len("health entries")?;
-    let mut health = Vec::with_capacity(nhealth);
-    for _ in 0..nhealth {
-        health.push((r.u64()?, r.u64()?));
-    }
-    let jsonl = r.bytes()?;
-    let jsonl = String::from_utf8(jsonl)
-        .map_err(|_| err(SnapshotError::Malformed("non-UTF-8 flight tail".into())))?;
-    let mut flight = Vec::new();
-    for line in jsonl.lines().filter(|l| !l.trim().is_empty()) {
-        flight.push(sva_trace::TimedEvent::from_json(line).ok_or_else(|| {
-            err(SnapshotError::Malformed(format!(
-                "unparseable flight event: {line}"
-            )))
-        })?);
-    }
-    let snapshot = r.bytes()?;
-    if r.pos != payload.len() {
-        return Err(err(SnapshotError::Malformed(format!(
-            "{} trailing payload bytes",
-            payload.len() - r.pos
-        ))));
-    }
-    Ok((
-        version,
-        CrashBundle {
-            reason,
-            halt_code,
-            resume_code_raw,
-            detail,
-            cpu,
-            config_words,
-            code_id,
-            stats,
-            console,
-            domains,
-            pools,
-            health,
-            flight,
-            snapshot,
-        },
-    ))
-}
-
-/// Rewrites an `SVAB` crash bundle of any supported version into the
-/// current bundle format for the `target` build, migrating the embedded
-/// snapshot along the way (so `svadbg --replay` works on bundles from
-/// older builds). Idempotent like [`migrate`].
+/// Rewrites an `SVAB` crash bundle for the `target` build, migrating
+/// the embedded snapshot (so `svadbg --replay` works on bundles whose
+/// snapshot the previous build wrote). The bundle itself is decoded by
+/// the strict [`CrashBundle::from_bytes`]. Idempotent like [`migrate`].
 pub fn migrate_bundle<T: Tracer>(
     target: &Vm<T>,
     bytes: &[u8],
 ) -> Result<(Vec<u8>, MigrationReport), MigrateError> {
-    let (version, mut bundle) = decode_bundle_any(bytes)?;
-    let (snap, mut report) = migrate(target, &bundle.snapshot)?;
-    if version == BUNDLE_VERSION && report.steps.is_empty() && !report.code_migrated {
+    let mut bundle = CrashBundle::from_bytes(bytes)?;
+    let (snap, report) = migrate(target, &bundle.snapshot)?;
+    if report.steps.is_empty() && !report.code_migrated {
         return Ok((bytes.to_vec(), report));
     }
     bundle.snapshot = snap;
@@ -1070,6 +669,5 @@ pub fn migrate_bundle<T: Tracer>(
         // `fused_sites` is code-derived (same rewrite the snapshot took).
         bundle.config_words[7] = fingerprint_words(&target.cfg, target.fused_sites())[7];
     }
-    report.from_version = version.min(report.from_version);
     Ok((bundle.to_bytes(), report))
 }

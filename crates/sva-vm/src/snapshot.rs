@@ -71,8 +71,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SVA1";
 /// mid-flight safe point) and a code manifest — the module's surface
 /// fingerprint plus per-function body hashes — so [`crate::migrate`]
 /// can judge whether a *rebuilt* kernel may adopt the image
-/// (DESIGN.md §4.10). Older versions are upcast by `migrate`, never
-/// guessed at by [`Vm::restore`].
+/// (DESIGN.md §4.10). [`Vm::restore`] takes only this version;
+/// `migrate` also reads the previous one (v3, see
+/// [`crate::migrate::OLDEST_SUPPORTED`]) and refuses anything older. The
+/// next bump retires v3 and moves that window up by one.
 pub const SNAPSHOT_VERSION: u32 = 4;
 /// Capture origin: a deliberate checkpoint ([`Vm::snapshot`]), e.g. at
 /// the boot pause point.

@@ -60,10 +60,11 @@ fn seed_module(k: u64) -> Module {
 
 // --- snapshot / bundle migration (DESIGN.md §4.10) ------------------------
 
-/// A mid-run machine image at the given opt level — the well-formed
-/// SVA1 artifact the mutation tests corrupt. Built once per opt level;
-/// the guest is a counted loop so the cut lands inside a live frame.
-fn migration_seed(opt_level: u8) -> (Vm, Vec<u8>) {
+/// A mid-run machine image at the given opt level and snapshot format
+/// (v4, or its v3 re-encoding) — the well-formed SVA1 artifact the
+/// mutation tests corrupt. The guest is a counted loop so the cut lands
+/// inside a live frame.
+fn migration_seed(opt_level: u8, version: u32) -> (Vm, Vec<u8>) {
     let src = r#"
 module "m"
 func public @work(%n0: i64) : i64 {
@@ -95,7 +96,7 @@ out:
         Err(VmError::OutOfFuel) => {}
         r => panic!("seed cut did not interrupt: {r:?}"),
     }
-    let img = vm.snapshot();
+    let img = reencode_at(&vm.snapshot(), version).unwrap();
     (
         Vm::new(parse_module(src).unwrap(), cfg(u64::MAX)).unwrap(),
         img,
@@ -106,9 +107,7 @@ out:
 /// must return a structured error (or, by luck, succeed) — never panic.
 fn exercise_migration(target: &mut Vm, bytes: &[u8]) {
     let _ = plan(bytes);
-    for to in [1u32, 2, 3] {
-        let _ = reencode_at(bytes, to);
-    }
+    let _ = reencode_at(bytes, 3);
     let _ = target.restore_migrated(bytes);
     let _ = migrate_bundle(target, bytes);
 }
@@ -155,23 +154,24 @@ proptest! {
 }
 
 /// Body of `migration_survives_mutated_snapshots`: a damaged SVA1
-/// machine image through the whole migration surface — plan, downcasts,
-/// `restore_migrated` — at the given translation tier. Mutating the
-/// version byte steers many cases into the legacy decoders, which walk
-/// the payload structurally and must also fail closed.
-fn check_mutated_snapshot(opt: u8, flips: &[usize], cut: bool, k: u64) {
-    let (mut target, img) = migration_seed(opt);
+/// machine image (v4 or v3) through the whole migration surface — plan,
+/// the v3 downcast, `restore_migrated` — at the given translation tier.
+/// A v3 seed drives the previous-format decoder and the v3→v4 upcaster
+/// directly; mutating the version byte steers other cases out of the
+/// support window, where they must be refused by version.
+fn check_mutated_snapshot(opt: u8, version: u32, flips: &[usize], cut: bool, k: u64) {
+    let (mut target, img) = migration_seed(opt, version);
     let mut bytes = img;
     damage(&mut bytes, flips, cut, k);
     exercise_migration(&mut target, &bytes);
 }
 
 /// Body of `migration_survives_mutated_bundles`: the same sweep over an
-/// SVAB crash bundle wrapping a valid snapshot — the bundle walker, the
-/// legacy bundle decoders and the embedded-snapshot migration must all
-/// survive arbitrary damage.
-fn check_mutated_bundle(opt: u8, flips: &[usize], cut: bool, k: u64) {
-    let (mut target, img) = migration_seed(opt);
+/// SVAB crash bundle wrapping a valid snapshot (v4 or v3) — the strict
+/// bundle decoder and the embedded-snapshot migration must both survive
+/// arbitrary damage.
+fn check_mutated_bundle(opt: u8, version: u32, flips: &[usize], cut: bool, k: u64) {
+    let (mut target, img) = migration_seed(opt, version);
     let code_id = plan(&img).unwrap().code_id;
     let bundle = CrashBundle {
         reason: CrashReason::Halt,
@@ -200,20 +200,22 @@ proptest! {
     #[test]
     fn migration_survives_mutated_snapshots(
         opt in prop::sample::select(vec![0u8, 2]),
+        version in prop::sample::select(vec![3u32, 4]),
         flips in prop::collection::vec(0usize..320_000, 1..12),
         cut in any::<bool>(),
         k in any::<u64>(),
     ) {
-        check_mutated_snapshot(opt, &flips, cut, k);
+        check_mutated_snapshot(opt, version, &flips, cut, k);
     }
 
     #[test]
     fn migration_survives_mutated_bundles(
         opt in prop::sample::select(vec![0u8, 2]),
+        version in prop::sample::select(vec![3u32, 4]),
         flips in prop::collection::vec(0usize..400_000, 1..12),
         cut in any::<bool>(),
         k in any::<u64>(),
     ) {
-        check_mutated_bundle(opt, &flips, cut, k);
+        check_mutated_bundle(opt, version, &flips, cut, k);
     }
 }

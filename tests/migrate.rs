@@ -1,25 +1,27 @@
 //! Integration gates for live-upgrade snapshot migration (DESIGN.md
 //! §4.10).
 //!
-//! The contract under test: a machine image written by any supported
-//! format version restores into the current build **through the upcaster
-//! chain** and then behaves as if the machine had never been serialized
-//! at all — and every image migration cannot carry forward fails closed
-//! with a structured error naming the first lost field. Five angles:
+//! The contract under test: a machine image written in either supported
+//! snapshot format — this build's v4 or the previous build's v3 —
+//! restores into the current build **through the upcaster chain** and
+//! then behaves as if the machine had never been serialized at all; every
+//! image migration cannot carry forward fails closed with a structured
+//! error naming the first lost field, and every format outside the
+//! window is refused by version. Five angles:
 //!
-//! * **composition** — proptest over generated programs: downcasting
-//!   stepwise equals downcasting directly, migrating any downgraded
-//!   image reproduces the original v4 bytes, and migrating a
-//!   current-format image is the byte-exact identity;
-//! * **legacy kernel images** — real kernel snapshots re-encoded at
-//!   v1/v2/v3 restore via migration and finish bit-identically to an
-//!   uninterrupted boot;
+//! * **composition** — proptest over generated programs: migrating the
+//!   v3 downcast of an image reproduces the original v4 bytes, and
+//!   migrating a current-format image is the byte-exact identity;
+//! * **previous-format kernel images** — real kernel snapshots
+//!   re-encoded at v3 restore via migration and finish bit-identically
+//!   to an uninterrupted boot;
 //! * **compatible rebuilds** — a kernel rebuilt with an appended
 //!   never-called function (different `code_id`, identical surface
 //!   prefix) adopts a mid-boot image across the code change;
-//! * **fail-closed** — a changed *live* function body, a poisoned pool's
-//!   attribution, and an unknown future version are each refused with
-//!   the named field, never a panic or a silent drop;
+//! * **fail-closed** — a changed *live* function body, a snapshot or
+//!   bundle version outside the window (retired v1/v2 or a future one)
+//!   and a bundle with trailing bytes are each refused with a structured
+//!   error, never a panic or a half-decoded artifact;
 //! * **bundles** — a crash bundle embedding a previous-format snapshot
 //!   migrates as a unit and the migrated bundle is a fixed point.
 
@@ -29,10 +31,9 @@ use sva::ir::parse::parse_module;
 use sva::kernel::harness::{
     boot_user, make_vm, make_vm_cfg, make_vm_nested, make_vm_nested_patched, pack_arg,
 };
-use sva::rt::MetaPoolId;
 use sva::vm::{
     migrate, migrate_bundle, plan, reencode_at, CrashBundle, CrashReason, KernelKind, MigrateError,
-    SnapshotError, Vm, VmConfig, VmError, UPCASTERS,
+    SnapshotError, Vm, VmConfig, VmError, OLDEST_SUPPORTED, UPCASTERS,
 };
 
 // --- toy machines ---------------------------------------------------------
@@ -95,8 +96,8 @@ fn cut_image(src: &str, opt_level: u8, arg: u64, cut: u64) -> (Vec<u8>, String, 
 
 // --- composition ----------------------------------------------------------
 
-/// Downcast chains compose, every upcast chain is a right inverse of
-/// its downcast chain, and migration at the current version is the
+/// The upcaster chain is a right inverse of the downcast to the
+/// previous format, and migration at the current version is the
 /// byte-exact identity. (Body of [`upcaster_chain_composes`]; plain
 /// asserts keep the proptest macro expansion shallow.)
 fn check_chain_composition(trip: u64, mul: u64, add: u64, arg: u64, cut: u64, opt: u8) {
@@ -109,27 +110,18 @@ fn check_chain_composition(trip: u64, mul: u64, add: u64, arg: u64, cut: u64, op
     assert_eq!(out, img);
     assert!(rep.steps.is_empty() && !rep.code_migrated);
 
-    // Stepwise downcast equals direct downcast.
+    // v4 → v3 → v4 is byte-exact, and re-encoding at v3 is idempotent.
     let v3 = reencode_at(&img, 3).unwrap();
-    let v2 = reencode_at(&img, 2).unwrap();
-    let v1 = reencode_at(&img, 1).unwrap();
-    assert_eq!(reencode_at(&v3, 2).unwrap(), v2);
-    assert_eq!(reencode_at(&v2, 1).unwrap(), v1);
-    assert_eq!(reencode_at(&v3, 1).unwrap(), v1);
+    assert_eq!(reencode_at(&v3, 3).unwrap(), v3);
+    let (out, rep) = migrate(&target, &v3).unwrap();
+    assert_eq!(out, img);
+    assert_eq!(rep.steps, vec!["v3→v4"]);
+    assert!(!rep.code_migrated);
 
-    // Migrating any downgraded image reproduces the original bytes —
-    // the upcaster chain from v(k) is exactly the inverse of the
-    // downcast chain to v(k).
-    for (old, steps) in [(&v3, 1usize), (&v2, 2), (&v1, 3)] {
-        let (out, rep) = migrate(&target, old).unwrap();
-        assert_eq!(out, img);
-        assert_eq!(rep.steps.len(), steps);
-        assert!(!rep.code_migrated);
-    }
-
-    // And a migrated legacy image resumes to the reference result.
+    // And a migrated previous-format image resumes to the reference
+    // result.
     let mut vm = toy_vm(&src, opt, 1);
-    vm.restore_migrated(&v1).unwrap();
+    vm.restore_migrated(&v3).unwrap();
     vm.set_fuel(u64::MAX);
     assert_eq!(format!("{:?}", vm.run()), exit);
     assert_eq!(vm.stats(), stats);
@@ -151,12 +143,17 @@ proptest! {
     }
 }
 
-/// The registry itself is a contiguous chain ending at the current
-/// version — the invariant `migrate` walks by.
+/// The registry itself is a contiguous chain from the oldest supported
+/// version to the current one — the invariant `migrate` walks by.
 #[test]
 fn upcaster_registry_is_contiguous() {
     for (i, u) in UPCASTERS.iter().enumerate() {
-        assert_eq!(u.from, 1 + i as u32, "registry out of order at {}", u.name);
+        assert_eq!(
+            u.from,
+            OLDEST_SUPPORTED + i as u32,
+            "registry out of order at {}",
+            u.name
+        );
         assert_eq!(u.to, u.from + 1, "upcaster {} skips a version", u.name);
     }
     assert_eq!(
@@ -187,18 +184,59 @@ fn changed_live_function_fails_closed() {
     }
 }
 
-/// A future format version is refused with `UnsupportedVersion`, and
-/// upcasting to the current version without a target machine is refused
-/// with the field that needs one (the code manifest).
+/// A synthetic crash bundle around `snapshot`, as the bundle tests use.
+fn synthetic_bundle(snapshot: Vec<u8>) -> CrashBundle {
+    CrashBundle {
+        reason: CrashReason::Halt,
+        halt_code: 41,
+        resume_code_raw: 0,
+        detail: "synthetic".to_string(),
+        cpu: 0,
+        config_words: [0; 10],
+        code_id: plan(&snapshot).unwrap().code_id,
+        stats: Default::default(),
+        console: b"hello".to_vec(),
+        domains: Vec::new(),
+        pools: Vec::new(),
+        health: Vec::new(),
+        flight: Vec::new(),
+        snapshot,
+    }
+}
+
+/// Versions outside the support window — the retired v1/v2 and a future
+/// one — are refused with `UnsupportedVersion` by every entry point, for
+/// snapshots and bundles alike. The header version word is outside the
+/// payload checksum, so each relabelled artifact is otherwise well formed
+/// and only the version check can refuse it. Upcasting to the current
+/// version without a target machine is refused with the field that needs
+/// one (the code manifest).
 #[test]
 fn unknown_versions_fail_closed() {
     let (img, _, _) = cut_image(&loop_prog(8, 3, 5, 7), 0, 9, 20);
-    let mut future = img.clone();
-    future[4] = 99; // header version word (little-endian u32)
     let target = toy_vm(&loop_prog(8, 3, 5, 7), 0, u64::MAX);
-    match migrate(&target, &future) {
-        Err(MigrateError::UnsupportedVersion { found: 99, .. }) => {}
-        r => panic!("expected UnsupportedVersion, got {r:?}"),
+    let bundle = synthetic_bundle(img.clone()).to_bytes();
+    let refused = |r: Result<(), MigrateError>, v: u32, what: &str| match r {
+        Err(MigrateError::UnsupportedVersion { found, .. }) if found == v => {}
+        r => panic!("{what} v{v}: expected UnsupportedVersion, got {r:?}"),
+    };
+    for v in [1u32, 2, 99] {
+        let mut relabelled = img.clone();
+        relabelled[4..8].copy_from_slice(&v.to_le_bytes());
+        refused(migrate(&target, &relabelled).map(drop), v, "migrate");
+        refused(reencode_at(&relabelled, 3).map(drop), v, "reencode_at");
+        refused(plan(&relabelled).map(drop), v, "plan");
+        let mut relabelled = bundle.clone();
+        relabelled[4..8].copy_from_slice(&v.to_le_bytes());
+        refused(
+            migrate_bundle(&target, &relabelled).map(drop),
+            v,
+            "migrate_bundle",
+        );
+        refused(plan(&relabelled).map(drop), v, "bundle plan");
+    }
+    for v in [1u32, 2, 5] {
+        refused(reencode_at(&img, v).map(drop), v, "reencode_at target");
     }
     let v3 = reencode_at(&img, 3).unwrap();
     match reencode_at(&v3, 4) {
@@ -209,6 +247,28 @@ fn unknown_versions_fail_closed() {
         r => panic!(
             "expected code_manifest refusal, got {:?}",
             r.map(|v| v.len())
+        ),
+    }
+}
+
+/// A valid bundle followed by one stray byte is refused by
+/// `migrate_bundle`, exactly as `CrashBundle::from_bytes` (and so
+/// `svadbg`) refuses it — the migration path has no more lenient
+/// decoder of its own.
+#[test]
+fn bundle_with_trailing_byte_fails_closed() {
+    let src = loop_prog(24, 3, 5, 7);
+    let (img, _, _) = cut_image(&src, 0, 9, 40);
+    let target = toy_vm(&src, 0, u64::MAX);
+    let mut bytes = synthetic_bundle(img).to_bytes();
+    assert!(migrate_bundle(&target, &bytes).is_ok());
+    bytes.push(0);
+    assert!(CrashBundle::from_bytes(&bytes).is_err());
+    match migrate_bundle(&target, &bytes) {
+        Err(MigrateError::Bundle(_)) => {}
+        r => panic!(
+            "expected a bundle refusal, got {:?}",
+            r.map(|(b, _)| b.len())
         ),
     }
 }
@@ -294,9 +354,9 @@ fn patched_kernel_adopts_mid_boot_image() {
 
 // --- legacy kernel images -------------------------------------------------
 
-/// Real kernel snapshots re-encoded at every supported previous version
-/// restore through the chain and finish identically to an uninterrupted
-/// boot — the nightly `--resume` cross-check in miniature.
+/// A real kernel snapshot re-encoded at the previous format (v3)
+/// restores through the chain and finishes identically to an
+/// uninterrupted boot — the nightly `--resume` cross-check in miniature.
 #[test]
 fn legacy_kernel_images_restore_via_migration() {
     let arg = pack_arg(30, 0, 0);
@@ -320,54 +380,25 @@ fn legacy_kernel_images_restore_via_migration() {
     }
     let img = vm.snapshot();
 
-    for old_version in 1..=3u32 {
-        let old = reencode_at(&img, old_version).unwrap();
-        let mut fresh = make_vm(KernelKind::SvaSafe);
-        // The strict path must refuse the old format by version...
-        assert!(matches!(
-            fresh.restore(&old),
-            Err(SnapshotError::BadVersion { .. })
-        ));
-        // ...and the migration path must walk the remaining chain.
-        let report = fresh.restore_migrated(&old).unwrap();
-        assert_eq!(report.from_version, old_version);
-        assert_eq!(report.steps.len(), (4 - old_version) as usize);
-        fresh.set_fuel(u64::MAX);
-        let r = fresh.run();
-        let got = (
-            format!("{r:?}"),
-            fresh.stats().equivalence_key(),
-            fresh.console.clone(),
-        );
-        assert_eq!(got, want, "v{old_version} image diverged after migration");
-    }
-}
-
-/// A poisoned pool carries attribution (`poisoned_by`) that the v1
-/// format cannot express: downcasting such an image must fail closed
-/// naming that field, not silently drop the forensics.
-#[test]
-fn poisoned_pool_refuses_v1_downcast() {
-    let mut vm = make_vm_nested(VmConfig::default());
-    boot_user(&mut vm, "user_getpid_loop", pack_arg(5, 0, 0)).expect("clean boot");
-    // Poison one pool the way the recovery path does: budget crossed,
-    // poison attributed to a recovery-domain subsystem.
-    let pool = vm.pools.pool_mut(MetaPoolId(0));
-    assert!(
-        pool.note_violation(1),
-        "budget 1 must poison on first strike"
+    let old = reencode_at(&img, 3).unwrap();
+    let mut fresh = make_vm(KernelKind::SvaSafe);
+    // The strict path must refuse the old format by version...
+    assert!(matches!(
+        fresh.restore(&old),
+        Err(SnapshotError::BadVersion { .. })
+    ));
+    // ...and the migration path must walk the remaining chain.
+    let report = fresh.restore_migrated(&old).unwrap();
+    assert_eq!(report.from_version, 3);
+    assert_eq!(report.steps, vec!["v3→v4"]);
+    fresh.set_fuel(u64::MAX);
+    let r = fresh.run();
+    let got = (
+        format!("{r:?}"),
+        fresh.stats().equivalence_key(),
+        fresh.console.clone(),
     );
-    pool.attribute_poison(3);
-    let img = vm.snapshot();
-    match reencode_at(&img, 1) {
-        Err(MigrateError::Incompatible {
-            field: "poisoned_by",
-            ..
-        }) => {}
-        r => panic!("expected poisoned_by refusal, got {:?}", r.map(|v| v.len())),
-    }
-    // v2 can express attribution — the same image downcasts fine there.
-    assert!(reencode_at(&img, 2).is_ok());
+    assert_eq!(got, want, "v3 image diverged after migration");
 }
 
 // --- bundles --------------------------------------------------------------
@@ -380,26 +411,7 @@ fn bundle_with_legacy_snapshot_migrates_and_is_fixed_point() {
     let src = loop_prog(24, 3, 5, 7);
     let (img, _, _) = cut_image(&src, 0, 9, 40);
     let target = toy_vm(&src, 0, u64::MAX);
-    let v3 = reencode_at(&img, 3).unwrap();
-    let code_id = plan(&img).unwrap().code_id;
-
-    let bundle = CrashBundle {
-        reason: CrashReason::Halt,
-        halt_code: 41,
-        resume_code_raw: 0,
-        detail: "synthetic".to_string(),
-        cpu: 0,
-        config_words: [0; 10],
-        code_id,
-        stats: Default::default(),
-        console: b"hello".to_vec(),
-        domains: Vec::new(),
-        pools: Vec::new(),
-        health: Vec::new(),
-        flight: Vec::new(),
-        snapshot: v3,
-    };
-    let bytes = bundle.to_bytes();
+    let bytes = synthetic_bundle(reencode_at(&img, 3).unwrap()).to_bytes();
 
     let p = plan(&bytes).unwrap();
     assert_eq!(p.kind, "bundle");
@@ -413,8 +425,10 @@ fn bundle_with_legacy_snapshot_migrates_and_is_fixed_point() {
     // The migrated embedded snapshot is the original current-format one.
     assert_eq!(out.snapshot, img);
 
-    // Fixed point: migrating the migrated bundle is the identity.
+    // Fixed point: migrating the migrated bundle is the identity, and
+    // its plan has no steps left.
     let (again, report) = migrate_bundle(&target, &migrated).unwrap();
     assert_eq!(again, migrated);
     assert!(report.steps.is_empty() && !report.code_migrated);
+    assert!(plan(&migrated).unwrap().steps.is_empty());
 }

@@ -400,8 +400,8 @@ fn complete_pools(vm: &Vm) -> Vec<u32> {
 /// A miniature faultcamp grid run both ways: fork mode (one boot image
 /// per column, restore + re-arm per cell) versus reboot mode (fresh
 /// translate + boot per cell). Every cell must agree byte-for-byte —
-/// the invariant the full campaign's `--verify-reboot` sweep checks at
-/// scale, gated here on every `cargo test`.
+/// the equivalence the full campaign's per-arm cross-check samples with
+/// one cell, gated here over a small grid on every `cargo test`.
 #[test]
 fn forked_faultcamp_cells_match_fresh_reboots() {
     const FUEL: u64 = 3_000_000;
