@@ -66,49 +66,45 @@ fn splay(c: &mut Criterion) {
 }
 
 /// Builds a pool with `n` registered 64-byte objects, 256 bytes apart.
-fn pool_with_objects(n: u64, fast_path: bool) -> MetaPool {
+fn pool_with_objects(n: u64) -> MetaPool {
     let mut p = MetaPool::new("bench", false, true, None);
-    p.set_fast_path(fast_path);
     for i in 0..n {
         p.reg_obj(0x1_0000 + i * 0x100, 64).unwrap();
     }
     p
 }
 
-/// The fast path vs. the splay-only baseline (set_fast_path(false)) on the
-/// two workload shapes that matter: repeated access to the same few hot
-/// objects (the paper's locality argument — served by the MRU cache) and a
-/// pseudo-random spread over many objects (served by the page index).
+/// The layered lookup on the two workload shapes that matter: repeated
+/// access to the same few hot objects (the paper's locality argument —
+/// served by the MRU cache) and a pseudo-random spread over many objects
+/// (MRU misses, answered by the splay tree). The splay-only cost of both
+/// shapes is `rt/splay/lookup_*`.
 fn fastpath(c: &mut Criterion) {
     let mut g = c.benchmark_group("rt/fastpath");
-    for (label, fast) in [("repeat_fast", true), ("repeat_baseline", false)] {
-        g.bench_function(label, |b| {
-            let mut p = pool_with_objects(1024, fast);
-            let mut i = 0u64;
-            b.iter(|| {
-                // Two hot objects, alternating: fits the 2-entry MRU.
-                i = i.wrapping_add(1);
-                let addr = 0x1_0000 + (i & 1) * 0x100 + 8;
-                p.ls_check(addr)
-            });
+    g.bench_function("repeat_fast", |b| {
+        let mut p = pool_with_objects(1024);
+        let mut i = 0u64;
+        b.iter(|| {
+            // Two hot objects, alternating: fits the 2-entry MRU.
+            i = i.wrapping_add(1);
+            let addr = 0x1_0000 + (i & 1) * 0x100 + 8;
+            p.ls_check(addr)
         });
-    }
-    for (label, fast) in [("spread_fast", true), ("spread_baseline", false)] {
-        g.bench_function(label, |b| {
-            let mut p = pool_with_objects(1024, fast);
-            let mut x = 0u64;
-            b.iter(|| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let addr = 0x1_0000 + (x % 1024) * 0x100 + 8;
-                p.ls_check(addr)
-            });
+    });
+    g.bench_function("spread_fast", |b| {
+        let mut p = pool_with_objects(1024);
+        let mut x = 0u64;
+        b.iter(|| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let addr = 0x1_0000 + (x % 1024) * 0x100 + 8;
+            p.ls_check(addr)
         });
-    }
+    });
     g.finish();
 
     // One-shot layer breakdown on a mixed workload, so the bench output
-    // documents where lookups resolve (cache / page index / tree).
-    let mut p = pool_with_objects(1024, true);
+    // documents where lookups resolve (singleton / cache / tree).
+    let mut p = pool_with_objects(1024);
     let mut x = 0u64;
     for i in 0..100_000u64 {
         // 75% hot-pair traffic, 25% spread.
@@ -122,12 +118,12 @@ fn fastpath(c: &mut Criterion) {
     }
     let s = *p.stats();
     println!(
-        "rt/fastpath breakdown (100k mixed lookups): cache_hits {} ({:.1}%), \
-         page_hits {} ({:.1}%), tree_walks {} ({:.1}%)",
+        "rt/fastpath breakdown (100k mixed lookups): singleton_hits {} ({:.1}%), \
+         cache_hits {} ({:.1}%), tree_walks {} ({:.1}%)",
+        s.singleton_hits,
+        100.0 * s.singleton_hits as f64 / s.lookups() as f64,
         s.cache_hits,
         100.0 * s.cache_hits as f64 / s.lookups() as f64,
-        s.page_hits,
-        100.0 * s.page_hits as f64 / s.lookups() as f64,
         s.tree_walks,
         100.0 * s.tree_walks as f64 / s.lookups() as f64,
     );
@@ -136,13 +132,13 @@ fn fastpath(c: &mut Criterion) {
 /// The singleton-pool elision (DESIGN.md §4.4): a pool holding exactly one
 /// live object answers every lookup with a two-compare bounds test, ahead
 /// of the MRU cache. `repeat_singleton` vs `repeat_mru` isolates what the
-/// elision saves over the PR 1 fast path on the same one-object pool; the
+/// elision saves over the MRU cache on the same one-object pool; the
 /// nightly gate watches both repeat-hit medians.
 fn singleton(c: &mut Criterion) {
     let mut g = c.benchmark_group("rt/singleton");
     for (label, on) in [("repeat_singleton", true), ("repeat_mru", false)] {
         g.bench_function(label, |b| {
-            let mut p = pool_with_objects(1, true);
+            let mut p = pool_with_objects(1);
             p.set_singleton_path(on);
             let mut i = 0u64;
             b.iter(|| {
@@ -244,7 +240,7 @@ fn emit_result(id: &str, ns: &mut [f64], iters: u64) {
 fn flight(c: &mut Criterion) {
     const SLICE_ITERS: u64 = 200_000;
     const SAMPLES: usize = 61;
-    let mut pool = pool_with_objects(1024, true);
+    let mut pool = pool_with_objects(1024);
     let mut null_tracer = NullTracer;
     let mut flight_tracer = FlightRecorder::default();
     let mut i = 0u64;
@@ -274,7 +270,7 @@ fn flight(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("rt/flight");
     g.bench_function("repeat_ring", |b| {
-        let mut p = pool_with_objects(1024, true);
+        let mut p = pool_with_objects(1024);
         let mut t = RingTracer::default();
         let mut i = 0u64;
         b.iter(|| traced_check_step(&mut p, &mut t, &mut i));

@@ -485,12 +485,11 @@ fn smp_prom_mode(vcpus: u32) -> ExitCode {
     println!("svaprof: {vcpus}-vCPU scaling corpus, per-CPU check/recovery counters:");
     for cpu in 0..vcpus {
         println!(
-            "  cpu{cpu}: ls_checks {} bounds {} lookups s/c/p/t {}/{}/{}/{} repairs {} jobs {} steals {}",
+            "  cpu{cpu}: ls_checks {} bounds {} lookups s/c/t {}/{}/{} repairs {} jobs {} steals {}",
             m.counter(&format!("cpu{cpu}.check.ls_checks")),
             m.counter(&format!("cpu{cpu}.check.bounds_checks")),
             m.counter(&format!("cpu{cpu}.check.lookup.singleton_hits")),
             m.counter(&format!("cpu{cpu}.check.lookup.cache_hits")),
-            m.counter(&format!("cpu{cpu}.check.lookup.page_hits")),
             m.counter(&format!("cpu{cpu}.check.lookup.tree_walks")),
             m.counter(&format!("cpu{cpu}.recovery.repairs")),
             m.counter(&format!("cpu{cpu}.sched.jobs")),

@@ -29,8 +29,6 @@ pub struct Sample {
     pub exit: u64,
     /// Metapool lookups served by the MRU cache (sva-safe only).
     pub cache_hits: u64,
-    /// Metapool lookups served by the page index (sva-safe only).
-    pub page_hits: u64,
     /// Metapool lookups that walked the splay tree (sva-safe only).
     pub tree_walks: u64,
     /// Metapool lookups answered by the singleton two-compare test
@@ -78,7 +76,6 @@ pub fn run_workload_cfg(cfg: VmConfig, prog: &str, arg: u64) -> Sample {
         instructions,
         cycles,
         cache_hits,
-        page_hits,
         tree_walks,
         singleton_hits,
         fused_execs,
@@ -90,7 +87,6 @@ pub fn run_workload_cfg(cfg: VmConfig, prog: &str, arg: u64) -> Sample {
         instructions,
         exit: code,
         cache_hits,
-        page_hits,
         tree_walks,
         singleton_hits,
         fused_execs,
@@ -125,7 +121,6 @@ pub fn run_workload_traced(
         instructions,
         cycles,
         cache_hits,
-        page_hits,
         tree_walks,
         singleton_hits,
         fused_execs,
@@ -148,7 +143,6 @@ pub fn run_workload_traced(
         instructions,
         exit: code,
         cache_hits,
-        page_hits,
         tree_walks,
         singleton_hits,
         fused_execs,
@@ -511,25 +505,25 @@ pub fn smp_metrics(vcpus: u32) -> sva_trace::MetricsRegistry {
 }
 
 /// Prints, for each workload, where the sva-safe configuration's metapool
-/// lookups resolved: MRU cache, page index, or splay tree. Each row is one
+/// lookups resolved: singleton, MRU cache, or splay tree. Each row is one
 /// `(label, prog, arg)` workload booted once under [`KernelKind::SvaSafe`].
 pub fn print_check_breakdown(title: &str, rows: &[(&str, &str, u64)]) {
     println!("\n== {title} ==");
     println!(
-        "{:<22} {:>10} {:>12} {:>12} {:>12} {:>8}",
-        "Test", "singleton", "cache hits", "page hits", "tree walks", "tree %"
+        "{:<22} {:>10} {:>12} {:>12} {:>8}",
+        "Test", "singleton", "cache hits", "tree walks", "tree %"
     );
     for (label, prog, a) in rows {
         let s = run_workload(KernelKind::SvaSafe, prog, *a);
-        let total = s.singleton_hits + s.cache_hits + s.page_hits + s.tree_walks;
+        let total = s.singleton_hits + s.cache_hits + s.tree_walks;
         let pct = if total == 0 {
             0.0
         } else {
             100.0 * s.tree_walks as f64 / total as f64
         };
         println!(
-            "{:<22} {:>10} {:>12} {:>12} {:>12} {:>7.1}%",
-            label, s.singleton_hits, s.cache_hits, s.page_hits, s.tree_walks, pct
+            "{:<22} {:>10} {:>12} {:>12} {:>7.1}%",
+            label, s.singleton_hits, s.cache_hits, s.tree_walks, pct
         );
     }
 }

@@ -89,10 +89,11 @@ pub struct CheckStats {
     /// Object lookups answered by the per-pool MRU last-hit cache
     /// (fast-path layer 1).
     pub cache_hits: u64,
-    /// Object lookups resolved by the page-granular interval index,
-    /// including definitive misses it can prove (fast-path layer 2).
+    /// Retired lookup layer (the page-granular interval index): always 0.
+    /// The name stays because it is a word of the format-stable snapshot
+    /// stats layout and of the metric exports.
     pub page_hits: u64,
-    /// Object lookups that fell through to the splay tree (layer 3, the
+    /// Object lookups that fell through to the splay tree (layer 2, the
     /// only layer that existed before the fast path).
     pub tree_walks: u64,
     /// Checks rejected immediately because the pool was quarantined

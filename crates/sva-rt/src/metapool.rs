@@ -6,8 +6,6 @@
 //! object ranges and implements the checks of §4.5, honouring the
 //! completeness-based "reduced checks" rule.
 
-use std::collections::HashMap;
-
 use sva_trace::LookupLayer;
 
 use crate::check::{CheckError, CheckKind, CheckStats};
@@ -16,20 +14,6 @@ use crate::splay::SplayTree;
 /// Identifier of a metapool within a [`MetaPoolTable`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct MetaPoolId(pub u32);
-
-/// Page granularity of the interval index (4 KiB, matching the VM).
-const PAGE_SHIFT: u64 = 12;
-
-/// Ranges spanning more than this many pages stay out of the page index
-/// (a huge object would otherwise fill thousands of buckets); they are
-/// tracked in an `unindexed` count instead, which disables the index's
-/// ability to prove definitive misses while any such object is live.
-const MAX_INDEXED_PAGES: u64 = 64;
-
-/// After this many consecutive lookups with no intervening registration
-/// or drop, the pool is considered read-mostly and splay lookups stop
-/// restructuring the tree (they use [`SplayTree::find`] instead).
-const READ_MOSTLY_THRESHOLD: u32 = 32;
 
 /// One metapool with its object registry.
 #[derive(Clone, Debug)]
@@ -45,28 +29,17 @@ pub struct MetaPool {
     pub elem_size: Option<u64>,
     objects: SplayTree,
     stats: CheckStats,
-    /// Fast-path toggle (ablation). When off, every lookup is a splay walk
-    /// — the pre-cache baseline.
-    fast_path: bool,
     /// Layer 0: when the registry holds exactly one live object, its range.
     /// Two compares then answer any lookup — hit *and* definitive miss —
     /// because no other range exists. Maintained on every mutation
     /// (registration, drop, clear, injected corruption) regardless of the
-    /// toggles, so flipping `singleton_path` never needs a rebuild.
+    /// toggle, so flipping `singleton_path` never needs a rebuild.
     singleton: Option<(u64, u64)>,
-    /// Singleton fast-path toggle (ablation), independent of `fast_path`.
+    /// Singleton fast-path toggle (ablation).
     singleton_path: bool,
     /// Layer 1: MRU last-hit cache, most recent first. Entries are live
     /// `(start, end)` ranges and must be invalidated on drop/clear.
     mru: [Option<(u64, u64)>; 2],
-    /// Layer 2: page number (`addr >> 12`) → live ranges touching that
-    /// page. Only ranges spanning ≤ [`MAX_INDEXED_PAGES`] pages appear.
-    page_index: HashMap<u64, Vec<(u64, u64)>>,
-    /// Live ranges too large for the page index. While nonzero, a page
-    /// miss is not a definitive miss and must fall through to the tree.
-    unindexed: usize,
-    /// Consecutive lookups since the last mutation (read-mostly detector).
-    quiet_lookups: u32,
     /// Which layer answered the most recent lookup. A single byte store on
     /// the lookup path; read by tracing instrumentation, never by checks.
     last_layer: LookupLayer,
@@ -111,13 +84,9 @@ impl MetaPool {
             elem_size,
             objects: SplayTree::new(),
             stats: CheckStats::default(),
-            fast_path: true,
             singleton: None,
             singleton_path: true,
             mru: [None; 2],
-            page_index: HashMap::new(),
-            unindexed: 0,
-            quiet_lookups: 0,
             last_layer: LookupLayer::None,
             quarantined: false,
             poisoned: false,
@@ -126,30 +95,6 @@ impl MetaPool {
             forced_reg_failures: 0,
             poisoned_by: 0,
             repairs: 0,
-        }
-    }
-
-    /// Whether the layered fast path is active.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
-    }
-
-    /// Enables or disables the lookup fast path (the benchmark ablation
-    /// flag). Disabling drops the caches so every lookup becomes a splay
-    /// walk; re-enabling rebuilds the page index from the live tree.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        if self.fast_path == enabled {
-            return;
-        }
-        self.fast_path = enabled;
-        self.mru = [None; 2];
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.quiet_lookups = 0;
-        if enabled {
-            for (start, end) in self.objects.iter_ranges() {
-                self.index_insert(start, end);
-            }
         }
     }
 
@@ -170,44 +115,13 @@ impl MetaPool {
         self.singleton = self.objects.only_range();
     }
 
-    fn span_pages(start: u64, end: u64) -> u64 {
-        ((end - 1) >> PAGE_SHIFT) - (start >> PAGE_SHIFT) + 1
-    }
-
-    fn index_insert(&mut self, start: u64, end: u64) {
-        if Self::span_pages(start, end) > MAX_INDEXED_PAGES {
-            self.unindexed += 1;
-            return;
-        }
-        for page in (start >> PAGE_SHIFT)..=((end - 1) >> PAGE_SHIFT) {
-            self.page_index.entry(page).or_default().push((start, end));
-        }
-    }
-
-    fn index_remove(&mut self, start: u64, end: u64) {
-        if Self::span_pages(start, end) > MAX_INDEXED_PAGES {
-            self.unindexed -= 1;
-            return;
-        }
-        for page in (start >> PAGE_SHIFT)..=((end - 1) >> PAGE_SHIFT) {
-            if let Some(v) = self.page_index.get_mut(&page) {
-                v.retain(|&r| r != (start, end));
-                if v.is_empty() {
-                    self.page_index.remove(&page);
-                }
-            }
-        }
-    }
-
-    /// Records a mutation: invalidates read-mostly mode and, when `hit` is
-    /// a dropped range, purges it from the MRU cache.
-    fn note_mutation(&mut self, dropped: Option<(u64, u64)>) {
-        self.quiet_lookups = 0;
-        if let Some(range) = dropped {
-            for slot in &mut self.mru {
-                if *slot == Some(range) {
-                    *slot = None;
-                }
+    /// Purges a dropped range from the MRU cache: a freed object must
+    /// never be served from a cache — that would reintroduce exactly the
+    /// use-after-free class the checks exist to catch.
+    fn forget(&mut self, dropped: (u64, u64)) {
+        for slot in &mut self.mru {
+            if *slot == Some(dropped) {
+                *slot = None;
             }
         }
     }
@@ -220,9 +134,9 @@ impl MetaPool {
         }
     }
 
-    /// The layered object lookup behind every check: MRU cache, then page
-    /// index, then splay tree. Exactly one of `cache_hits` / `page_hits` /
-    /// `tree_walks` is incremented per call.
+    /// The layered object lookup behind every check: singleton, then MRU
+    /// cache, then splay tree. Exactly one of `singleton_hits` /
+    /// `cache_hits` / `tree_walks` is incremented per call.
     fn lookup_obj(&mut self, addr: u64) -> Option<(u64, u64)> {
         // Layer 0: singleton pool. With exactly one live range, two
         // compares answer both outcomes — containment is a hit, and a miss
@@ -231,18 +145,12 @@ impl MetaPool {
             if let Some((start, end)) = self.singleton {
                 self.stats.singleton_hits += 1;
                 self.last_layer = LookupLayer::Singleton;
-                self.quiet_lookups = self.quiet_lookups.saturating_add(1);
                 return if start <= addr && addr < end {
                     Some((start, end))
                 } else {
                     None
                 };
             }
-        }
-        if !self.fast_path {
-            self.stats.tree_walks += 1;
-            self.last_layer = LookupLayer::Tree;
-            return self.objects.lookup(addr);
         }
         // Layer 1: MRU last-hit cache.
         for i in 0..self.mru.len() {
@@ -253,42 +161,14 @@ impl MetaPool {
                     if i != 0 {
                         self.mru.swap(0, 1);
                     }
-                    self.quiet_lookups = self.quiet_lookups.saturating_add(1);
                     return Some((start, end));
                 }
             }
         }
-        // Layer 2: page-granular interval index.
-        let page = addr >> PAGE_SHIFT;
-        let mut hit = None;
-        if let Some(candidates) = self.page_index.get(&page) {
-            hit = candidates
-                .iter()
-                .copied()
-                .find(|&(start, end)| start <= addr && addr < end);
-        }
-        let definitive = hit.is_some() || self.unindexed == 0;
-        if definitive {
-            // Either the index produced the object, or every live range is
-            // indexed and none on this page contains `addr` — a definitive
-            // miss, also answered without touching the tree.
-            self.stats.page_hits += 1;
-            self.last_layer = LookupLayer::Page;
-            self.quiet_lookups = self.quiet_lookups.saturating_add(1);
-            if let Some(range) = hit {
-                self.remember(range);
-            }
-            return hit;
-        }
-        // Layer 3: splay tree (only unindexed huge objects remain).
+        // Layer 2: the splay tree, the structure of record.
         self.stats.tree_walks += 1;
         self.last_layer = LookupLayer::Tree;
-        let found = if self.quiet_lookups >= READ_MOSTLY_THRESHOLD {
-            self.objects.find(addr)
-        } else {
-            self.objects.lookup(addr)
-        };
-        self.quiet_lookups = self.quiet_lookups.saturating_add(1);
+        let found = self.objects.lookup(addr);
         if let Some(range) = found {
             self.remember(range);
         }
@@ -394,10 +274,10 @@ impl MetaPool {
 
     /// `sva.recover.repair` (DESIGN.md §4.8): tears down and
     /// reinitializes a poisoned pool. The poison, quarantine, scoped
-    /// violation budget and subsystem attribution all clear, and the
-    /// layered lookup structures are rebuilt from the live registry —
-    /// exactly the state a freshly initialized pool would reach after
-    /// replaying the registrations, so post-repair checks are coherent.
+    /// violation budget and subsystem attribution all clear, and the MRU
+    /// cache drops — the state a freshly initialized pool would reach
+    /// after replaying the registrations, so post-repair checks are
+    /// coherent.
     /// The lifetime violation count is kept as history. Returns `false`
     /// (and does nothing) if the pool was not poisoned.
     pub fn repair(&mut self) -> bool {
@@ -409,19 +289,7 @@ impl MetaPool {
         self.scope_violations = 0;
         self.poisoned_by = 0;
         self.repairs = self.repairs.saturating_add(1);
-        // Reinitialize the lookup layers from the registry (same rebuild
-        // as the fast-path toggle): caches drop, index and singleton are
-        // re-derived from live ranges.
         self.mru = [None; 2];
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.quiet_lookups = 0;
-        if self.fast_path {
-            for (start, end) in self.objects.iter_ranges() {
-                self.index_insert(start, end);
-            }
-        }
-        self.update_singleton();
         true
     }
 
@@ -453,14 +321,10 @@ impl MetaPool {
         }
         let (start, end) = ranges[(seed as usize) % ranges.len()];
         self.objects.remove(start);
-        if self.fast_path {
-            self.note_mutation(Some((start, end)));
-            self.index_remove(start, end);
-        }
+        self.forget((start, end));
         let len = end - start;
-        if len > 1 && self.objects.insert(start, len / 2) && self.fast_path {
-            self.note_mutation(None);
-            self.index_insert(start, start + len / 2);
+        if len > 1 {
+            self.objects.insert(start, len / 2);
         }
         self.update_singleton();
         true
@@ -511,10 +375,6 @@ impl MetaPool {
                 format!("overlapping registration of {len} bytes"),
             ));
         }
-        if self.fast_path {
-            self.note_mutation(None);
-            self.index_insert(addr, addr + len);
-        }
         self.update_singleton();
         Ok(())
     }
@@ -526,14 +386,8 @@ impl MetaPool {
     pub fn drop_obj(&mut self, addr: u64) -> Result<(), CheckError> {
         self.stats.drops += 1;
         match self.objects.remove(addr) {
-            Some((start, end)) => {
-                if self.fast_path {
-                    // A freed object must never be served from the caches:
-                    // that would reintroduce exactly the use-after-free class
-                    // the checks exist to catch.
-                    self.note_mutation(Some((start, end)));
-                    self.index_remove(start, end);
-                }
+            Some(range) => {
+                self.forget(range);
                 self.update_singleton();
                 Ok(())
             }
@@ -645,9 +499,6 @@ impl MetaPool {
         self.objects.clear();
         self.singleton = None;
         self.mru = [None; 2];
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.quiet_lookups = 0;
     }
 
     /// All live ranges, ascending (diagnostics).
@@ -657,8 +508,8 @@ impl MetaPool {
 
     /// Exports the pool's mutable state as a plain-data image for a
     /// machine snapshot. Live ranges are exported sorted; the splay tree's
-    /// shape and the page-index bucket order are *not* captured — they are
-    /// rebuilt deterministically on restore, which is observationally
+    /// shape is *not* captured — it is rebuilt deterministically on
+    /// restore, which is observationally
     /// equivalent because ranges are disjoint (every lookup answer and
     /// every counter increment is independent of tree shape).
     pub fn export_image(&self) -> PoolImage {
@@ -666,10 +517,8 @@ impl MetaPool {
             name: self.name.clone(),
             ranges: self.live_ranges(),
             stats: self.stats.to_words(),
-            fast_path: self.fast_path,
             singleton_path: self.singleton_path,
             mru: self.mru,
-            quiet_lookups: self.quiet_lookups,
             last_layer: self.last_layer.to_code(),
             quarantined: self.quarantined,
             poisoned: self.poisoned,
@@ -682,8 +531,8 @@ impl MetaPool {
     }
 
     /// Restores the pool's mutable state from [`MetaPool::export_image`]
-    /// output, rebuilding the derived lookup structures (splay tree, page
-    /// index, singleton cache) from the sorted range list. The pool's
+    /// output, rebuilding the derived lookup structures (splay tree and
+    /// singleton cache) from the sorted range list. The pool's
     /// identity fields (name, homogeneity, completeness) are *not* taken
     /// from the image — they come from the bytecode annotations, which the
     /// caller has already matched; a name mismatch is rejected as a
@@ -702,9 +551,6 @@ impl MetaPool {
             )
         })?;
         self.objects.clear();
-        self.page_index.clear();
-        self.unindexed = 0;
-        self.fast_path = img.fast_path;
         self.singleton_path = img.singleton_path;
         for &(start, end) in &img.ranges {
             if end <= start || !self.objects.insert(start, end - start) {
@@ -713,13 +559,9 @@ impl MetaPool {
                     self.name
                 ));
             }
-            if self.fast_path {
-                self.index_insert(start, end);
-            }
         }
         self.update_singleton();
         self.mru = img.mru;
-        self.quiet_lookups = img.quiet_lookups;
         self.last_layer = last_layer;
         self.quarantined = img.quarantined;
         self.poisoned = img.poisoned;
@@ -735,8 +577,8 @@ impl MetaPool {
 
 /// Plain-data image of one metapool's mutable state (machine snapshots,
 /// DESIGN.md §4.6). Holds exactly what cannot be rebuilt from the sorted
-/// range list: the MRU cache contents, the read-mostly counter, the
-/// violation/quarantine state and the check counters. `last_layer` is a
+/// range list: the MRU cache contents, the violation/quarantine state and
+/// the check counters. `last_layer` is a
 /// [`LookupLayer::to_code`] byte.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PoolImage {
@@ -746,14 +588,10 @@ pub struct PoolImage {
     pub ranges: Vec<(u64, u64)>,
     /// [`CheckStats::to_words`] of the pool counters.
     pub stats: [u64; CheckStats::WORDS],
-    /// Layered fast-path toggle.
-    pub fast_path: bool,
     /// Singleton fast-path toggle.
     pub singleton_path: bool,
     /// MRU last-hit cache, most recent first.
     pub mru: [Option<(u64, u64)>; 2],
-    /// Consecutive lookups since the last mutation.
-    pub quiet_lookups: u32,
     /// [`LookupLayer::to_code`] of the most recent lookup's layer.
     pub last_layer: u8,
     /// Whether checks currently fail fast.
@@ -966,13 +804,6 @@ impl MetaPoolTable {
         }
     }
 
-    /// Toggles the lookup fast path on every pool (benchmark ablation).
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        for p in &mut self.pools {
-            p.set_fast_path(enabled);
-        }
-    }
-
     /// Toggles the singleton fast path on every pool (benchmark ablation).
     pub fn set_singleton_path(&mut self, enabled: bool) {
         for p in &mut self.pools {
@@ -1153,14 +984,14 @@ mod tests {
         let mut p = th_pool();
         p.set_singleton_path(false); // this test targets the MRU layer
         p.reg_obj(0x1000, 64).unwrap();
-        // First lookup fills the cache (resolved by the page index), the
+        // First lookup fills the cache (resolved by the splay tree), the
         // rest are MRU hits.
         for _ in 0..10 {
             p.bounds_check(0x1000, 0x1020).unwrap();
         }
-        assert_eq!(p.stats().page_hits, 1);
+        assert_eq!(p.stats().tree_walks, 1);
         assert_eq!(p.stats().cache_hits, 9);
-        assert_eq!(p.stats().tree_walks, 0);
+        assert_eq!(p.stats().page_hits, 0);
     }
 
     #[test]
@@ -1176,9 +1007,9 @@ mod tests {
             p.ls_check(0x1008).unwrap();
             p.ls_check(0x2008).unwrap();
         }
-        assert_eq!(p.stats().page_hits, 2);
+        assert_eq!(p.stats().tree_walks, 2);
         assert_eq!(p.stats().cache_hits, 16);
-        assert_eq!(p.stats().tree_walks, 0);
+        assert_eq!(p.stats().page_hits, 0);
     }
 
     #[test]
@@ -1186,7 +1017,7 @@ mod tests {
         let mut p = th_pool();
         p.set_singleton_path(false); // this test targets the MRU layer
         p.reg_obj(0x1000, 64).unwrap();
-        // Pull the object into the MRU cache and the page index.
+        // Pull the object into the MRU cache.
         p.ls_check(0x1010).unwrap();
         p.ls_check(0x1010).unwrap();
         assert_eq!(p.stats().cache_hits, 1);
@@ -1213,58 +1044,25 @@ mod tests {
     }
 
     #[test]
-    fn page_index_proves_definitive_misses() {
-        let mut p = MetaPool::new("MPc", false, true, None);
-        p.set_singleton_path(false); // this test targets the page index
-        p.reg_obj(0x1000, 64).unwrap();
-        // Miss on a page with no candidates: answered by the index (all
-        // live ranges are indexed), no tree walk.
-        assert!(p.ls_check(0x9000).is_err());
-        assert_eq!(p.stats().page_hits, 1);
-        assert_eq!(p.stats().tree_walks, 0);
-    }
-
-    #[test]
     fn huge_objects_fall_back_to_the_tree() {
         let mut p = MetaPool::new("MPc", false, true, None);
         // Singleton off: a lone huge object would otherwise be a singleton.
         p.set_singleton_path(false);
-        // 1 MiB object: spans 256 pages > MAX_INDEXED_PAGES, so it is not
-        // page-indexed and lookups must reach the splay tree.
+        // 1 MiB object: size plays no part in the layering, so the first
+        // lookup reaches the splay tree like any other MRU miss.
         p.reg_obj(0x10_0000, 0x10_0000).unwrap();
         p.ls_check(0x18_0000).unwrap();
         assert_eq!(p.stats().tree_walks, 1);
         // Second hit comes from the MRU cache even for huge objects.
         p.ls_check(0x18_0008).unwrap();
         assert_eq!(p.stats().cache_hits, 1);
-        // Misses cannot be proven by the index while the huge object lives…
+        // Misses are answered by the tree, with the object live or dropped.
         assert!(p.ls_check(0x50_0000).is_err());
         assert_eq!(p.stats().tree_walks, 2);
-        // …but become definitive again once it is dropped.
         p.drop_obj(0x10_0000).unwrap();
-        assert!(p.ls_check(0x50_0000).is_err());
-        assert_eq!(p.stats().tree_walks, 2);
-    }
-
-    #[test]
-    fn fast_path_toggle_recovers_baseline_and_rebuilds() {
-        let mut p = th_pool();
-        p.reg_obj(0x1000, 64).unwrap();
-        p.reg_obj(0x3000, 64).unwrap();
-        p.set_fast_path(false);
-        assert!(!p.fast_path());
-        for _ in 0..4 {
-            p.bounds_check(0x1000, 0x1010).unwrap();
-        }
-        // Baseline: every lookup is a tree walk, no cache traffic.
-        assert_eq!(p.stats().cache_hits, 0);
+        assert!(p.ls_check(0x18_0000).is_err());
+        assert_eq!(p.stats().tree_walks, 3);
         assert_eq!(p.stats().page_hits, 0);
-        assert_eq!(p.stats().tree_walks, 4);
-        // Re-enabling rebuilds the page index from the live tree.
-        p.set_fast_path(true);
-        p.bounds_check(0x3000, 0x3010).unwrap();
-        assert_eq!(p.stats().page_hits, 1);
-        assert_eq!(p.stats().tree_walks, 4);
     }
 
     #[test]
@@ -1441,7 +1239,7 @@ mod tests {
         assert_eq!(p.last_lookup_layer(), sva_trace::LookupLayer::Singleton);
         let s = *p.stats();
         assert_eq!(s.singleton_hits, 4);
-        assert_eq!(s.cache_hits + s.page_hits + s.tree_walks, 0);
+        assert_eq!(s.cache_hits + s.tree_walks, 0);
         assert_eq!(s.lookups(), 4);
     }
 
@@ -1477,7 +1275,7 @@ mod tests {
         // Clearing the pool forgets the singleton entirely.
         p.clear();
         assert_eq!(p.ls_check(0x1010).unwrap_err().kind, CheckKind::LoadStore);
-        assert_eq!(p.last_lookup_layer(), sva_trace::LookupLayer::Page);
+        assert_eq!(p.last_lookup_layer(), sva_trace::LookupLayer::Tree);
     }
 
     #[test]
@@ -1487,9 +1285,9 @@ mod tests {
         p.reg_obj(0x1000, 64).unwrap();
         p.ls_check(0x1010).unwrap();
         p.ls_check(0x1010).unwrap();
-        // Layered path: page-index fill then MRU hit, no singleton traffic.
+        // Layered path: tree fill then MRU hit, no singleton traffic.
         assert_eq!(p.stats().singleton_hits, 0);
-        assert_eq!(p.stats().page_hits, 1);
+        assert_eq!(p.stats().tree_walks, 1);
         assert_eq!(p.stats().cache_hits, 1);
         // Re-enabling needs no rebuild: the range is maintained either way.
         p.set_singleton_path(true);
@@ -1499,36 +1297,32 @@ mod tests {
 
     #[test]
     fn singleton_agrees_with_baseline_on_every_probe() {
-        // The two-compare answer must equal the splay-only answer for any
-        // address, including boundaries.
+        // The two-compare answer must equal the bare splay tree's answer
+        // for any address, including boundaries.
         let mut fast = th_pool();
-        let mut base = th_pool();
-        base.set_singleton_path(false);
-        base.set_fast_path(false);
-        for p in [&mut fast, &mut base] {
-            p.reg_obj(0x1000, 64).unwrap();
-        }
+        let mut base = SplayTree::new();
+        fast.reg_obj(0x1000, 64).unwrap();
+        assert!(base.insert(0x1000, 64));
         for addr in [0u64, 0xfff, 0x1000, 0x1001, 0x103f, 0x1040, 0x9000] {
-            assert_eq!(fast.get_bounds(addr), base.get_bounds(addr), "{addr:#x}");
-            assert_eq!(
-                fast.ls_check(addr).is_ok(),
-                base.ls_check(addr).is_ok(),
-                "{addr:#x}"
-            );
+            let want = base.lookup(addr);
+            assert_eq!(fast.get_bounds(addr), want, "{addr:#x}");
+            assert_eq!(fast.ls_check(addr).is_ok(), want.is_some(), "{addr:#x}");
         }
-        assert_eq!(fast.stats().lookups(), base.stats().lookups());
-        assert_eq!(fast.stats().singleton_hits, fast.stats().lookups());
+        let s = *fast.stats();
+        assert_eq!(s.singleton_hits, s.lookups());
+        assert_eq!(s.lookups(), 14);
+        assert_eq!(s.page_hits, 0);
     }
 
     #[test]
     fn pool_image_round_trip_is_observationally_identical() {
         // Build a pool with non-trivial state in every layer: warm caches,
-        // a huge unindexed object, violations, injected failures.
+        // a huge object, violations, injected failures.
         let mut p = MetaPool::new("MPc", false, true, None);
         for i in 0..8u64 {
             p.reg_obj(0x1000 + i * 0x100, 0x80).unwrap();
         }
-        p.reg_obj(0x10_0000, 0x10_0000).unwrap(); // huge → unindexed
+        p.reg_obj(0x10_0000, 0x10_0000).unwrap();
         for addr in [0x1010u64, 0x1210, 0x18_0000, 0x1010] {
             let _ = p.ls_check(addr);
         }
@@ -1577,6 +1371,7 @@ mod tests {
         }
         let s = *p.stats();
         assert_eq!(s.lookups(), lookups);
-        assert_eq!(s.cache_hits + s.page_hits + s.tree_walks, lookups);
+        assert_eq!(s.cache_hits + s.tree_walks, lookups);
+        assert_eq!(s.singleton_hits + s.page_hits, 0);
     }
 }

@@ -264,30 +264,6 @@ impl SplayTree {
         }
     }
 
-    /// Finds the range containing `addr` *without* restructuring the tree.
-    ///
-    /// A plain BST descent: because stored ranges are disjoint, a node with
-    /// `start <= addr < end` is the unique candidate, and when
-    /// `addr >= end` no left-subtree range can contain `addr` (it would
-    /// have to overlap this node). Read-mostly pools use this instead of
-    /// [`SplayTree::lookup`] so hot checks stop paying for rotations; the
-    /// trade-off is that the accessed node is not promoted, so the caller
-    /// should only prefer it once the tree shape has stabilised.
-    pub fn find(&self, addr: u64) -> Option<(u64, u64)> {
-        let mut cur = self.root;
-        while cur != NIL {
-            let n = self.nodes[cur as usize];
-            if addr < n.start {
-                cur = n.left;
-            } else if addr < n.end {
-                return Some((n.start, n.end));
-            } else {
-                cur = n.right;
-            }
-        }
-        None
-    }
-
     /// The single stored range, if the tree holds exactly one. Constant
     /// time: with `len == 1` the root is the only node. Metapools use this
     /// to maintain their singleton fast path across mutations.
@@ -519,24 +495,6 @@ mod tests {
             }
             assert_eq!(t.len(), model.len());
         }
-    }
-
-    #[test]
-    fn find_agrees_with_lookup_and_preserves_shape() {
-        let mut t = SplayTree::new();
-        for i in 0..512u64 {
-            assert!(t.insert(i * 32, 16));
-        }
-        // `find` must agree with `lookup` on hits, misses between ranges,
-        // and misses outside the keyspace — without mutating the tree.
-        let ranges = t.iter_ranges();
-        let root_before = t.root;
-        for addr in [0u64, 8, 15, 16, 31, 4000, 4008, 4016, 511 * 32 + 15, 16384] {
-            let expect = ranges.iter().copied().find(|&(s, e)| s <= addr && addr < e);
-            assert_eq!(t.find(addr), expect, "addr {addr}");
-        }
-        assert_eq!(t.root, root_before, "find restructured the tree");
-        assert_eq!(t.iter_ranges(), ranges);
     }
 
     #[test]

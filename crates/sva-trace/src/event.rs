@@ -23,9 +23,11 @@ pub enum LookupLayer {
     Singleton,
     /// Layer 1: the 2-entry MRU last-hit cache.
     Cache,
-    /// Layer 2: the page-granular interval index (hit or definitive miss).
+    /// Retired layer (the page-granular interval index): no lookup
+    /// reports it any more. The variant keeps its format-stable name and
+    /// code so older traces and snapshot images still parse.
     Page,
-    /// Layer 3: a splay-tree walk.
+    /// Layer 2: a splay-tree walk.
     Tree,
 }
 

@@ -265,11 +265,18 @@ impl CrashBundle {
                 "bundle was captured under a hot profile; replay cannot reconstruct it".into(),
             ));
         }
+        // The retired `fast_path` toggle: the layered lookup is always on.
+        if w[3] != 1 {
+            return Err(BundleError::Snapshot(SnapshotError::ConfigMismatch {
+                field: "fast_path",
+                image: w[3],
+                machine: 1,
+            }));
+        }
         Ok(VmConfig {
             kind,
             sign_key: w[1],
             opt_level: w[2] as u8,
-            fast_path: w[3] != 0,
             singleton_path: w[4] != 0,
             violation_budget: w[5] as u32,
             domain_fuel: w[6],
@@ -400,12 +407,12 @@ impl CrashBundle {
         }
         let stats = crate::snapshot::stats_from_words(stat_words);
         let console = r.bytes().map_err(perr)?;
-        let ndomains = r.len("domains").map_err(perr)?;
+        let ndomains = r.len("domains", 1).map_err(perr)?;
         let mut domains = Vec::with_capacity(ndomains);
         for _ in 0..ndomains {
             let subsys = r.u64().map_err(perr)?;
             let fuel = r.u64().map_err(perr)?;
-            let npools = r.len("domain quarantined pools").map_err(perr)?;
+            let npools = r.len("domain quarantined pools", 1).map_err(perr)?;
             let mut quarantined_pools = Vec::with_capacity(npools);
             for _ in 0..npools {
                 quarantined_pools.push(r.u32().map_err(perr)?);
@@ -416,7 +423,7 @@ impl CrashBundle {
                 quarantined_pools,
             });
         }
-        let npools = r.len("pool summaries").map_err(perr)?;
+        let npools = r.len("pool summaries", 1).map_err(perr)?;
         let mut pools = Vec::with_capacity(npools);
         for _ in 0..npools {
             pools.push(PoolSummary {
@@ -431,7 +438,7 @@ impl CrashBundle {
                 repairs: r.u32().map_err(perr)?,
             });
         }
-        let nhealth = r.len("health entries").map_err(perr)?;
+        let nhealth = r.len("health entries", 1).map_err(perr)?;
         let mut health = Vec::with_capacity(nhealth);
         for _ in 0..nhealth {
             health.push((r.u64().map_err(perr)?, r.u64().map_err(perr)?));

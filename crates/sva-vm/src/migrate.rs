@@ -269,7 +269,7 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
     // harvest live frame functions), carry verbatim.
     let body_start = r.pos;
     r.sparse()?; // kernel
-    let nspaces = r.len("address spaces")?;
+    let nspaces = r.len("address spaces", 1)?;
     for _ in 0..nspaces {
         r.bool()?;
         r.sparse()?;
@@ -281,31 +281,31 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
     r.u64()?; // ksp
     r.u64()?; // usp
     r.bool()?; // fp_dirty
-    let nic = r.len("interrupt contexts")?;
+    let nic = r.len("interrupt contexts", 1)?;
     for _ in 0..nic {
         note_frames(&mut live_funcs, &read_icontext(r)?.frames);
     }
-    let n = r.len("saved integer states")?;
+    let n = r.len("saved integer states", 1)?;
     for _ in 0..n {
         r.u64()?;
         note_frames(&mut live_funcs, &read_saved_state(r)?.frames);
     }
-    let n = r.len("saved user states")?;
+    let n = r.len("saved user states", 1)?;
     for _ in 0..n {
         r.u64()?;
         note_frames(&mut live_funcs, &read_icontext(r)?.frames);
     }
-    let n = r.len("syscall table")?;
+    let n = r.len("syscall table", 1)?;
     for _ in 0..n {
         r.i64()?;
         r.u32()?;
     }
-    let n = r.len("interrupt table")?;
+    let n = r.len("interrupt table", 1)?;
     for _ in 0..n {
         r.i64()?;
         r.u32()?;
     }
-    let n = r.len("pool images")?;
+    let n = r.len("pool images", 1)?;
     for _ in 0..n {
         read_pool_image(r)?;
     }
@@ -320,11 +320,11 @@ fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
     if r.bool()? {
         r.u64()?; // halted code
     }
-    let n = r.len("pending irqs")?;
+    let n = r.len("pending irqs", 1)?;
     for _ in 0..n {
         r.i64()?;
     }
-    let n = r.len("recovery stack")?;
+    let n = r.len("recovery stack", 1)?;
     for _ in 0..n {
         note_frames(&mut live_funcs, &read_recovery(r)?.frames);
     }

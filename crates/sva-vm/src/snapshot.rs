@@ -34,10 +34,10 @@
 //!
 //! * the translated-function cache — deterministic from the module and
 //!   config, which the header's `code_id`/`config_fp` pin;
-//! * the metapool splay trees and page indexes — rebuilt from the sorted
-//!   live-range lists ([`sva_rt::PoolImage`]); tree shape and bucket
-//!   order are observationally irrelevant because ranges are disjoint
-//!   (the round-trip gates in `tests/snapshot.rs` prove it);
+//! * the metapool splay trees — rebuilt from the sorted live-range lists
+//!   ([`sva_rt::PoolImage`]); tree shape is observationally irrelevant
+//!   because ranges are disjoint (the round-trip gates in
+//!   `tests/snapshot.rs` prove it);
 //! * the fault hook — a host-side `Arc<dyn FaultHook>` that cannot be
 //!   serialized; the image carries its schedule cursor (`trap_count`),
 //!   so reattaching an identical plan resumes the identical schedule.
@@ -213,7 +213,8 @@ pub(crate) fn fingerprint_words(cfg: &VmConfig, fused_sites: u32) -> [u64; FP_FI
         kind_code(cfg.kind),
         cfg.sign_key,
         cfg.opt_level as u64,
-        cfg.fast_path as u64,
+        // Retired `fast_path` toggle: the layered lookup is always on.
+        1,
         cfg.singleton_path as u64,
         cfg.violation_budget as u64,
         cfg.domain_fuel,
@@ -338,21 +339,22 @@ impl<'a> R<'a> {
     pub(crate) fn i64(&mut self) -> RResult<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    pub(crate) fn len(&mut self, what: &str) -> RResult<usize> {
+    /// Reads an element count. Guards against absurd counts before any
+    /// allocation: every element encodes to at least `min_elem_bytes`, so
+    /// a count can never exceed `remaining / min_elem_bytes`.
+    pub(crate) fn len(&mut self, what: &str, min_elem_bytes: usize) -> RResult<usize> {
         let n = self.u64()?;
-        // Guard against absurd counts before any allocation: every
-        // element encodes to at least one byte, so a count can never
-        // exceed the remaining payload.
         let remaining = (self.b.len() - self.pos) as u64;
-        if n > remaining {
+        if n > remaining / min_elem_bytes as u64 {
             return Err(SnapshotError::Malformed(format!(
-                "{what} count {n} exceeds {remaining} remaining bytes"
+                "{what} count {n} exceeds {remaining} remaining bytes \
+                 ({min_elem_bytes} bytes each at least)"
             )));
         }
         Ok(n as usize)
     }
     pub(crate) fn bytes(&mut self) -> RResult<Vec<u8>> {
-        let n = self.len("byte section")?;
+        let n = self.len("byte section", 1)?;
         Ok(self.take(n)?.to_vec())
     }
     pub(crate) fn str(&mut self) -> RResult<String> {
@@ -441,6 +443,31 @@ fn mode_from(c: u8) -> RResult<Mode> {
     }
 }
 
+// Minimum encoded sizes of the variable-length records, for `R::len`:
+// every vector empty, every option `None`.
+/// [`write_frame`]: five u32 cursors, regs count, `ret_dst` tag, mode,
+/// `sp_saved`, stack-regs count.
+const FRAME_MIN: usize = 5 * 4 + 8 + 1 + 1 + 8 + 8;
+/// [`write_icontext`]: frames count, usp, asid, privileged, `result_dst`
+/// tag, `result_frame`, live, `trace_sys` tag.
+const ICONTEXT_MIN: usize = 8 + 8 + 4 + 1 + 1 + 8 + 1 + 1;
+/// [`write_saved_state`]: frames count, icid tag, asid, ksp, kstack
+/// length, `save_dst` tag.
+const SAVED_STATE_MIN: usize = 8 + 1 + 4 + 8 + 8 + 1;
+/// [`write_recovery`]: frames count, icid tag, asid, ksp, usp, kstack
+/// length, dst tag, subsys, fuel, quarantined-pools count.
+const RECOVERY_MIN: usize = 8 + 1 + 4 + 8 + 8 + 8 + 1 + 8 + 8 + 8;
+/// [`write_pool_image`]: name length, ranges count, stats words, the
+/// `fast_path`/`singleton_path` bytes, two MRU tags, `quiet_lookups`,
+/// `last_layer`, quarantined, poisoned, violations, scope violations,
+/// forced failures, `poisoned_by`, repairs.
+const POOL_IMAGE_MIN: usize = 8 + 8 + CheckStats::WORDS * 8 + 2 + 2 + 4 + 1 + 2 + 4 + 4 + 4 + 8 + 4;
+/// One [`ManifestFunc`]: name length, `sig_fp`, `body_hash`.
+const MANIFEST_FUNC_MIN: usize = 8 + 8 + 8;
+/// One address space: live byte plus an empty sparse region (total and
+/// page count).
+const SPACE_MIN: usize = 1 + 8 + 8;
+
 pub(crate) fn write_frame(w: &mut W, fr: &Frame) {
     w.u32(fr.func);
     w.u32(fr.pc);
@@ -468,7 +495,7 @@ pub(crate) fn read_frame(r: &mut R<'_>) -> RResult<Frame> {
     let block = r.u32()?;
     let idx = r.u32()?;
     let prev_block = r.u32()?;
-    let nregs = r.len("frame regs")?;
+    let nregs = r.len("frame regs", 8)?;
     let mut regs = Vec::with_capacity(nregs);
     for _ in 0..nregs {
         regs.push(r.u64()?);
@@ -476,7 +503,7 @@ pub(crate) fn read_frame(r: &mut R<'_>) -> RResult<Frame> {
     let ret_dst = r.opt_u32()?;
     let mode = mode_from(r.u8()?)?;
     let sp_saved = r.u64()?;
-    let nstack = r.len("stack regs")?;
+    let nstack = r.len("stack regs", 4 + 8 + 8)?;
     let mut stack_regs = Vec::with_capacity(nstack);
     for _ in 0..nstack {
         stack_regs.push((r.u32()?, r.u64()?, r.u64()?));
@@ -503,7 +530,7 @@ pub(crate) fn write_frames(w: &mut W, frames: &[Frame]) {
 }
 
 pub(crate) fn read_frames(r: &mut R<'_>) -> RResult<Vec<Frame>> {
-    let n = r.len("frame stack")?;
+    let n = r.len("frame stack", FRAME_MIN)?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
         v.push(read_frame(r)?);
@@ -592,7 +619,7 @@ pub(crate) fn read_recovery(r: &mut R<'_>) -> RResult<RecoveryCtx> {
     let dst = r.opt_u32()?;
     let subsys = r.u64()?;
     let fuel = r.u64()?;
-    let n = r.len("quarantined pools")?;
+    let n = r.len("quarantined pools", 4)?;
     let mut quarantined_pools = Vec::with_capacity(n);
     for _ in 0..n {
         quarantined_pools.push(r.u32()?);
@@ -621,7 +648,8 @@ pub(crate) fn write_pool_image(w: &mut W, img: &PoolImage) {
     for &word in &img.stats {
         w.u64(word);
     }
-    w.bool(img.fast_path);
+    // Retired `fast_path` toggle: always on.
+    w.bool(true);
     w.bool(img.singleton_path);
     for slot in img.mru {
         match slot {
@@ -633,7 +661,8 @@ pub(crate) fn write_pool_image(w: &mut W, img: &PoolImage) {
             None => w.bool(false),
         }
     }
-    w.u32(img.quiet_lookups);
+    // Retired read-mostly counter (`quiet_lookups`): always 0.
+    w.u32(0);
     w.u8(img.last_layer);
     w.bool(img.quarantined);
     w.bool(img.poisoned);
@@ -646,7 +675,7 @@ pub(crate) fn write_pool_image(w: &mut W, img: &PoolImage) {
 
 pub(crate) fn read_pool_image(r: &mut R<'_>) -> RResult<PoolImage> {
     let name = r.str()?;
-    let n = r.len("pool ranges")?;
+    let n = r.len("pool ranges", 16)?;
     let mut ranges = Vec::with_capacity(n);
     for _ in 0..n {
         ranges.push((r.u64()?, r.u64()?));
@@ -655,7 +684,16 @@ pub(crate) fn read_pool_image(r: &mut R<'_>) -> RResult<PoolImage> {
     for word in &mut stats {
         *word = r.u64()?;
     }
-    let fast_path = r.bool()?;
+    // The retired `fast_path` toggle: the layered lookup is always on,
+    // so an image taken with it off is refused rather than misread.
+    let fast_path = r.u8()?;
+    if fast_path != 1 {
+        return Err(SnapshotError::ConfigMismatch {
+            field: "fast_path",
+            image: fast_path as u64,
+            machine: 1,
+        });
+    }
     let singleton_path = r.bool()?;
     let mut mru = [None; 2];
     for slot in &mut mru {
@@ -663,14 +701,15 @@ pub(crate) fn read_pool_image(r: &mut R<'_>) -> RResult<PoolImage> {
             *slot = Some((r.u64()?, r.u64()?));
         }
     }
+    // The retired read-mostly counter (`quiet_lookups`) was only a
+    // tree-shape hint; discard it.
+    r.u32()?;
     Ok(PoolImage {
         name,
         ranges,
         stats,
-        fast_path,
         singleton_path,
         mru,
-        quiet_lookups: r.u32()?,
         last_layer: r.u8()?,
         quarantined: r.bool()?,
         poisoned: r.bool()?,
@@ -821,7 +860,7 @@ pub(crate) fn write_manifest(w: &mut W, m: &CodeManifest) {
 pub(crate) fn read_manifest(r: &mut R<'_>) -> RResult<CodeManifest> {
     let surface_fp = r.u64()?;
     let globals_fp = r.u64()?;
-    let n = r.len("manifest functions")?;
+    let n = r.len("manifest functions", MANIFEST_FUNC_MIN)?;
     let mut funcs = Vec::with_capacity(n);
     for _ in 0..n {
         funcs.push(ManifestFunc {
@@ -1115,7 +1154,7 @@ impl<T: Tracer> Vm<T> {
 
     fn parse_payload<'a>(r: &mut R<'a>) -> Result<Parsed<'a>, SnapshotError> {
         let kernel = r.sparse()?;
-        let nspaces = r.len("address spaces")?;
+        let nspaces = r.len("address spaces", SPACE_MIN)?;
         let mut spaces = Vec::with_capacity(nspaces);
         for _ in 0..nspaces {
             let live = r.bool()?;
@@ -1131,36 +1170,36 @@ impl<T: Tracer> Vm<T> {
             usp: r.u64()?,
             fp_dirty: r.bool()?,
         };
-        let nic = r.len("interrupt contexts")?;
+        let nic = r.len("interrupt contexts", ICONTEXT_MIN)?;
         let mut icontexts = Vec::with_capacity(nic);
         for _ in 0..nic {
             icontexts.push(read_icontext(r)?);
         }
-        let n = r.len("saved integer states")?;
+        let n = r.len("saved integer states", 8 + SAVED_STATE_MIN)?;
         let mut int_state = HashMap::with_capacity(n);
         for _ in 0..n {
             let k = r.u64()?;
             int_state.insert(k, read_saved_state(r)?);
         }
-        let n = r.len("saved user states")?;
+        let n = r.len("saved user states", 8 + ICONTEXT_MIN)?;
         let mut user_state = HashMap::with_capacity(n);
         for _ in 0..n {
             let k = r.u64()?;
             user_state.insert(k, read_icontext(r)?);
         }
-        let n = r.len("syscall table")?;
+        let n = r.len("syscall table", 8 + 4)?;
         let mut syscalls = HashMap::with_capacity(n);
         for _ in 0..n {
             let k = r.i64()?;
             syscalls.insert(k, r.u32()?);
         }
-        let n = r.len("interrupt table")?;
+        let n = r.len("interrupt table", 8 + 4)?;
         let mut interrupts = HashMap::with_capacity(n);
         for _ in 0..n {
             let k = r.i64()?;
             interrupts.insert(k, r.u32()?);
         }
-        let n = r.len("pool images")?;
+        let n = r.len("pool images", POOL_IMAGE_MIN)?;
         let mut pool_images = Vec::with_capacity(n);
         for _ in 0..n {
             pool_images.push(read_pool_image(r)?);
@@ -1177,12 +1216,12 @@ impl<T: Tracer> Vm<T> {
         let stats = stats_from_words(words);
         let fuel = r.u64()?;
         let halted = if r.bool()? { Some(r.u64()?) } else { None };
-        let n = r.len("pending irqs")?;
+        let n = r.len("pending irqs", 8)?;
         let mut pending_irq = Vec::with_capacity(n);
         for _ in 0..n {
             pending_irq.push(r.i64()?);
         }
-        let n = r.len("recovery stack")?;
+        let n = r.len("recovery stack", RECOVERY_MIN)?;
         let mut recovery = Vec::with_capacity(n);
         for _ in 0..n {
             recovery.push(read_recovery(r)?);
@@ -1438,5 +1477,52 @@ out:
             other.restore(&img),
             Err(SnapshotError::CodeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn pool_record_with_fast_path_off_is_refused() {
+        let mut pool = sva_rt::MetaPool::new("MP0", false, true, None);
+        pool.reg_obj(0x1000, 64).unwrap();
+        let img = pool.export_image();
+        let mut w = W::default();
+        write_pool_image(&mut w, &img);
+        assert_eq!(read_pool_image(&mut R::new(&w.buf)).unwrap(), img);
+        // The fast_path byte follows the name, one range and the stats.
+        let at = 8 + img.name.len() + 8 + 16 + CheckStats::WORDS * 8;
+        assert_eq!(w.buf[at], 1);
+        w.buf[at] = 0;
+        assert_eq!(
+            read_pool_image(&mut R::new(&w.buf)),
+            Err(SnapshotError::ConfigMismatch {
+                field: "fast_path",
+                image: 0,
+                machine: 1,
+            })
+        );
+    }
+
+    #[test]
+    fn pool_record_range_count_is_bounded_before_allocating() {
+        let filler = [0u8; 100];
+        let record = |count: u64| {
+            let mut w = W::default();
+            w.str("MP0");
+            w.u64(count);
+            w.buf.extend_from_slice(&filler);
+            w.buf
+        };
+        // One range more than the remaining bytes can hold at 16 bytes
+        // each is rejected by the count check itself, not by a truncated
+        // read after the allocation.
+        let over = record(filler.len() as u64 / 16 + 1);
+        match read_pool_image(&mut R::new(&over)) {
+            Err(SnapshotError::Malformed(m)) => assert!(m.contains("pool ranges"), "{m}"),
+            r => panic!("expected Malformed, got {r:?}"),
+        }
+        // The largest count that fits passes the check.
+        let fits = record(filler.len() as u64 / 16);
+        let mut r = R::new(&fits);
+        r.str().unwrap();
+        assert_eq!(r.len("pool ranges", 16).unwrap(), filler.len() / 16);
     }
 }

@@ -176,10 +176,6 @@ pub struct VmConfig {
     /// Instruction budget (guards against runaway guests); `u64::MAX` for
     /// unlimited.
     pub fuel: u64,
-    /// Layered lookup fast path in the metapool runtime (MRU cache + page
-    /// index in front of the splay tree). On by default; benchmarks disable
-    /// it to measure the splay-only baseline.
-    pub fast_path: bool,
     /// Safety violations a metapool may absorb *within one recovery-domain
     /// scope* before it is permanently poisoned (DESIGN.md §4.3/§4.5).
     pub violation_budget: u32,
@@ -203,7 +199,7 @@ pub struct VmConfig {
     pub hot_profile: Option<Arc<HotProfile>>,
     /// Singleton-pool check elision in the metapool runtime: pools holding
     /// exactly one live object answer lookups with a two-compare bounds
-    /// test instead of the layered MRU/page/splay path. On by default;
+    /// test instead of the layered MRU/splay path. On by default;
     /// benchmarks disable it to isolate the layered path.
     pub singleton_path: bool,
     /// Virtual CPUs of the machine (DESIGN.md §4.9). `1` (the default) is
@@ -237,7 +233,6 @@ impl std::fmt::Debug for VmConfig {
             .field("kind", &self.kind)
             .field("sign_key", &self.sign_key)
             .field("fuel", &self.fuel)
-            .field("fast_path", &self.fast_path)
             .field("violation_budget", &self.violation_budget)
             .field("domain_fuel", &self.domain_fuel)
             .field("fault_hook", &self.fault_hook.is_some())
@@ -256,7 +251,6 @@ impl Default for VmConfig {
             kind: KernelKind::SvaSafe,
             sign_key: 0x57a,
             fuel: u64::MAX,
-            fast_path: true,
             violation_budget: 3,
             domain_fuel: u64::MAX,
             fault_hook: None,
@@ -736,7 +730,9 @@ pub struct VmStats {
     pub interrupts: u64,
     /// Metapool lookups answered by the MRU last-hit cache.
     pub cache_hits: u64,
-    /// Metapool lookups resolved by the page-granular index.
+    /// Retired lookup layer (the page-granular index): always 0. The
+    /// field keeps its place in the snapshot stats layout and trace
+    /// exports, which are format-stable.
     pub page_hits: u64,
     /// Metapool lookups that walked the splay tree.
     pub tree_walks: u64,
@@ -1052,9 +1048,6 @@ impl<T: Tracer> Vm<T> {
                     }
                 }
             }
-        }
-        if !cfg.fast_path {
-            pools.set_fast_path(false);
         }
         if !cfg.singleton_path {
             pools.set_singleton_path(false);

@@ -166,7 +166,7 @@ fn kernel_workloads_agree_across_opt_levels() {
 /// Pointer-heavy syscall workloads must install triple sites, and the
 /// fused check must be the standalone intrinsic hit-for-hit: same exit,
 /// same equivalence key, and the identical split across every lookup
-/// layer (singleton / MRU / page index / splay tree).
+/// layer (singleton / MRU / splay tree).
 #[test]
 fn kernel_gep_chk_load_triples_fuse_and_agree() {
     for (prog, iters, size) in [("user_openclose_loop", 30, 0), ("user_write_loop", 20, 64)] {
@@ -190,18 +190,8 @@ fn kernel_gep_chk_load_triples_fuse_and_agree() {
             "{prog}: triple fusion changed an observable stat"
         );
         assert_eq!(
-            (
-                s0.singleton_hits,
-                s0.cache_hits,
-                s0.page_hits,
-                s0.tree_walks
-            ),
-            (
-                s2.singleton_hits,
-                s2.cache_hits,
-                s2.page_hits,
-                s2.tree_walks
-            ),
+            (s0.singleton_hits, s0.cache_hits, s0.tree_walks),
+            (s2.singleton_hits, s2.cache_hits, s2.tree_walks),
             "{prog}: the fused check moved a lookup between layers"
         );
         assert_eq!(s0.cycles - s2.cycles, s2.fused_execs, "{prog}");
@@ -228,8 +218,8 @@ fn kernel_workloads_agree_across_singleton_toggle() {
     assert_eq!(s_on.cycles, s_off.cycles);
     assert_eq!(s_on.instructions, s_off.instructions);
     assert_eq!(s_off.singleton_hits, 0);
-    let total_on = s_on.singleton_hits + s_on.cache_hits + s_on.page_hits + s_on.tree_walks;
-    let total_off = s_off.cache_hits + s_off.page_hits + s_off.tree_walks;
+    let total_on = s_on.singleton_hits + s_on.cache_hits + s_on.tree_walks;
+    let total_off = s_off.cache_hits + s_off.tree_walks;
     assert_eq!(total_on, total_off, "elision changed the lookup count");
 }
 
