@@ -177,6 +177,13 @@ impl From<SnapshotError> for BundleError {
     }
 }
 
+// Minimum encoded sizes of the variable-length records, for `R::len`.
+/// One [`DomainDump`]: subsys, fuel, quarantined-pools count.
+const DOMAIN_MIN: usize = 8 + 8 + 8;
+/// One [`PoolSummary`]: id, name length, complete, live objects, checks,
+/// violations, quarantined, poisoned, repairs.
+const POOL_SUMMARY_MIN: usize = 4 + 8 + 1 + 8 + 8 + 4 + 1 + 1 + 4;
+
 /// Maps a reader error hit while parsing *bundle* payload bytes (the
 /// reader speaks `SnapshotError`) onto the bundle taxonomy.
 fn perr(e: SnapshotError) -> BundleError {
@@ -407,12 +414,12 @@ impl CrashBundle {
         }
         let stats = crate::snapshot::stats_from_words(stat_words);
         let console = r.bytes().map_err(perr)?;
-        let ndomains = r.len("domains", 1).map_err(perr)?;
+        let ndomains = r.len("domains", DOMAIN_MIN).map_err(perr)?;
         let mut domains = Vec::with_capacity(ndomains);
         for _ in 0..ndomains {
             let subsys = r.u64().map_err(perr)?;
             let fuel = r.u64().map_err(perr)?;
-            let npools = r.len("domain quarantined pools", 1).map_err(perr)?;
+            let npools = r.len("domain quarantined pools", 4).map_err(perr)?;
             let mut quarantined_pools = Vec::with_capacity(npools);
             for _ in 0..npools {
                 quarantined_pools.push(r.u32().map_err(perr)?);
@@ -423,7 +430,7 @@ impl CrashBundle {
                 quarantined_pools,
             });
         }
-        let npools = r.len("pool summaries", 1).map_err(perr)?;
+        let npools = r.len("pool summaries", POOL_SUMMARY_MIN).map_err(perr)?;
         let mut pools = Vec::with_capacity(npools);
         for _ in 0..npools {
             pools.push(PoolSummary {
@@ -438,7 +445,7 @@ impl CrashBundle {
                 repairs: r.u32().map_err(perr)?,
             });
         }
-        let nhealth = r.len("health entries", 1).map_err(perr)?;
+        let nhealth = r.len("health entries", 8 + 8).map_err(perr)?;
         let mut health = Vec::with_capacity(nhealth);
         for _ in 0..nhealth {
             health.push((r.u64().map_err(perr)?, r.u64().map_err(perr)?));
@@ -591,5 +598,47 @@ impl<T: Tracer> Vm<T> {
             }
         }
         self.crash.last_bundle = Some(bundle);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn domain_count_is_bounded_before_allocating() {
+        let filler = 100;
+        let bundle = CrashBundle {
+            reason: CrashReason::Halt,
+            halt_code: 41,
+            resume_code_raw: 0,
+            detail: String::new(),
+            cpu: 0,
+            config_words: [0; FP_FIELDS.len()],
+            code_id: 0,
+            stats: Default::default(),
+            console: Vec::new(),
+            domains: Vec::new(),
+            pools: Vec::new(),
+            health: Vec::new(),
+            flight: Vec::new(),
+            snapshot: vec![0; filler],
+        };
+        let mut bytes = bundle.to_bytes();
+        // With every list empty, the domain count is followed by the pool
+        // and health counts and the flight and snapshot byte sections.
+        let remaining = 8 + 8 + 8 + 8 + filler;
+        let at = bytes.len() - remaining - 8;
+        let count = (remaining / DOMAIN_MIN + 1) as u64;
+        bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        let checksum = fnv64(&bytes[HEADER_LEN..]);
+        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+        // One domain more than the remaining bytes can hold is rejected
+        // by the count check itself, not by a truncated read after the
+        // allocation.
+        match CrashBundle::from_bytes(&bytes) {
+            Err(BundleError::Malformed(m)) => assert!(m.contains("domains count"), "{m}"),
+            r => panic!("expected Malformed, got {r:?}"),
+        }
     }
 }

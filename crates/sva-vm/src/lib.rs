@@ -39,8 +39,8 @@ pub use smp::{
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use sva_trace::{FlightConfig, FlightRecorder, NullTracer, RingTracer, Tracer};
 pub use vm::{
-    FaultAction, FaultHook, IrqAffinity, KernelKind, TrapInfo, Vm, VmConfig, VmError, VmExit,
-    VmStats, CHECK_CYCLES, PORT_CONSOLE, PORT_TIMER, REG_CYCLES, USTACK_SIZE,
+    FaultAction, FaultHook, KernelKind, TrapInfo, Vm, VmConfig, VmError, VmExit, VmStats,
+    CHECK_CYCLES, PORT_CONSOLE, PORT_TIMER, REG_CYCLES, USTACK_SIZE,
 };
 
 #[cfg(test)]

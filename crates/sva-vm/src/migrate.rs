@@ -32,25 +32,27 @@
 //!   migrated, so `svadbg --replay` works on bundles whose snapshot was
 //!   written by the previous build.
 //!
-//! Decoding is structural and fail-closed in the snapshot.rs tradition
-//! (the mutation proptests in `tests/fuzz.rs` drive bit-flipped and
-//! truncated images through [`migrate`]). v3 and v4 share every payload
-//! byte from the fingerprint through `cpu_id`, so that body is walked
-//! once (to validate it and find the live frames) and carried verbatim.
+//! This module holds policy only; it reads no image bytes itself.
+//! Every entry point goes through `snapshot.rs`'s one header check and
+//! one payload parser — the same code [`Vm::restore`] runs — with the
+//! version window opened to v3 (the mutation proptests in
+//! `tests/fuzz.rs` drive bit-flipped and truncated images through it).
+//! v3 and v4 share every payload byte from the fingerprint through
+//! `cpu_id`; the parser hands that span back, and [`migrate`] and
+//! [`reencode_at`] re-frame it verbatim. [`Vm::restore_migrated`]
+//! commits the parsed image directly, so it parses each image once.
 
 use std::collections::BTreeSet;
 
-use sva_rt::CheckStats;
 use sva_trace::Tracer;
 
 use crate::bundle::{BundleError, CrashBundle, BUNDLE_MAGIC, BUNDLE_VERSION};
 use crate::snapshot::{
-    fingerprint_words, fnv64, read_frames, read_icontext, read_manifest, read_origin,
-    read_pool_image, read_recovery, read_saved_state, surface_fp_of, write_manifest, CodeManifest,
-    SnapshotError, FP_FIELDS, HEADER_LEN as SNAP_HEADER, ORIGIN_CHECKPOINT, R, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION, W,
+    fingerprint_words, frame_image, read_header, surface_fp_of, write_manifest, CodeManifest,
+    Header, Parsed, SnapshotError, FP_FIELDS, FP_FUSED_SITES, ORIGIN_CHECKPOINT, SNAPSHOT_VERSION,
+    W,
 };
-use crate::vm::{Frame, Vm};
+use crate::vm::Vm;
 
 /// The oldest snapshot format [`migrate`] can still read: the one the
 /// previous build wrote. The next format bump retires it.
@@ -190,210 +192,52 @@ pub struct MigrationReport {
 }
 
 // ---------------------------------------------------------------------------
-// Structural decode: the fingerprint typed, the v3/v4-invariant body
-// carried as one verbatim byte span.
+// Reading and re-framing, both through `snapshot.rs`.
 // ---------------------------------------------------------------------------
 
-struct MigImage<'a> {
-    version: u32,
-    code_id: u64,
-    fp: [u64; FP_FIELDS.len()],
-    /// Payload after the fingerprint through `cpu_id` — identical in v3
-    /// and v4, carried verbatim.
-    body: &'a [u8],
-    /// v4 only: capture origin and code manifest.
-    origin: Option<u8>,
-    manifest: Option<CodeManifest>,
-    /// Function indices with at least one live frame anywhere in the
-    /// image (thread, interrupt contexts, saved states, recovery stack).
-    live_funcs: BTreeSet<u32>,
-}
-
-fn note_frames(live: &mut BTreeSet<u32>, frames: &[Frame]) {
-    for f in frames {
-        live.insert(f.func);
-    }
-}
-
-/// Parses any supported header, returning `(version, code_id, payload)`.
-fn split_image(image: &[u8]) -> Result<(u32, u64, &[u8]), MigrateError> {
-    if image.len() < SNAP_HEADER {
-        return Err(SnapshotError::Truncated {
-            need: SNAP_HEADER,
-            have: image.len(),
-        }
-        .into());
-    }
-    let magic: [u8; 4] = image[0..4].try_into().unwrap();
-    if magic != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic(magic).into());
-    }
-    let version = u32::from_le_bytes(image[4..8].try_into().unwrap());
-    if !(OLDEST_SUPPORTED..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(MigrateError::UnsupportedVersion {
-            found: version,
-            newest: SNAPSHOT_VERSION,
-        });
-    }
-    let code_id = u64::from_le_bytes(image[16..24].try_into().unwrap());
-    let payload_len = u64::from_le_bytes(image[24..32].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(image[32..40].try_into().unwrap());
-    if image.len() < SNAP_HEADER + payload_len {
-        return Err(SnapshotError::Truncated {
-            need: SNAP_HEADER + payload_len,
-            have: image.len(),
-        }
-        .into());
-    }
-    let payload = &image[SNAP_HEADER..SNAP_HEADER + payload_len];
-    let computed = fnv64(payload);
-    if computed != checksum {
-        return Err(SnapshotError::Corrupt {
-            stored: checksum,
-            computed,
-        }
-        .into());
-    }
-    Ok((version, code_id, payload))
-}
-
-fn decode(image: &[u8]) -> Result<MigImage<'_>, MigrateError> {
-    let (version, code_id, payload) = split_image(image)?;
-    let mut live_funcs = BTreeSet::new();
-    let r = &mut R::new(payload);
-    let mut fp = [0u64; FP_FIELDS.len()];
-    for word in &mut fp {
-        *word = r.u64()?;
-    }
-    // Everything through `cpu_id`: walk structurally (to validate and
-    // harvest live frame functions), carry verbatim.
-    let body_start = r.pos;
-    r.sparse()?; // kernel
-    let nspaces = r.len("address spaces", 1)?;
-    for _ in 0..nspaces {
-        r.bool()?;
-        r.sparse()?;
-    }
-    r.u32()?; // current_asid
-    note_frames(&mut live_funcs, &read_frames(r)?); // thread frames
-    r.u32()?; // thread.asid
-    r.opt_u32()?; // thread.icid
-    r.u64()?; // ksp
-    r.u64()?; // usp
-    r.bool()?; // fp_dirty
-    let nic = r.len("interrupt contexts", 1)?;
-    for _ in 0..nic {
-        note_frames(&mut live_funcs, &read_icontext(r)?.frames);
-    }
-    let n = r.len("saved integer states", 1)?;
-    for _ in 0..n {
-        r.u64()?;
-        note_frames(&mut live_funcs, &read_saved_state(r)?.frames);
-    }
-    let n = r.len("saved user states", 1)?;
-    for _ in 0..n {
-        r.u64()?;
-        note_frames(&mut live_funcs, &read_icontext(r)?.frames);
-    }
-    let n = r.len("syscall table", 1)?;
-    for _ in 0..n {
-        r.i64()?;
-        r.u32()?;
-    }
-    let n = r.len("interrupt table", 1)?;
-    for _ in 0..n {
-        r.i64()?;
-        r.u32()?;
-    }
-    let n = r.len("pool images", 1)?;
-    for _ in 0..n {
-        read_pool_image(r)?;
-    }
-    for _ in 0..CheckStats::WORDS {
-        r.u64()?; // function check stats
-    }
-    r.bytes()?; // console
-    for _ in 0..22 {
-        r.u64()?; // machine stats
-    }
-    r.u64()?; // fuel
-    if r.bool()? {
-        r.u64()?; // halted code
-    }
-    let n = r.len("pending irqs", 1)?;
-    for _ in 0..n {
-        r.i64()?;
-    }
-    let n = r.len("recovery stack", 1)?;
-    for _ in 0..n {
-        note_frames(&mut live_funcs, &read_recovery(r)?.frames);
-    }
-    if r.bool()? {
-        r.u32()?;
-        r.i64()?;
-    } // gep_skew
-    if r.bool()? {
-        r.u64()?;
-        r.u32()?;
-        r.u64()?;
-    } // pending_probe
-    if r.bool()? {
-        r.u64()?;
-        r.u32()?;
-        r.i64()?;
-    } // pending_skew
-    r.u64()?; // call_floor
-    r.u64()?; // trap_count
-    r.u32()?; // cpu_id
-    let body = &payload[body_start..r.pos];
-    let (origin, manifest) = if version >= 4 {
-        (Some(read_origin(r)?), Some(read_manifest(r)?))
-    } else {
-        (None, None)
-    };
-    if r.pos != payload.len() {
-        return Err(SnapshotError::Malformed(format!(
-            "{} trailing payload bytes",
-            payload.len() - r.pos
-        ))
-        .into());
-    }
-    Ok(MigImage {
-        version,
-        code_id,
-        fp,
-        body,
-        origin,
-        manifest,
-        live_funcs,
+/// [`read_header`] over the migration window: a version outside it is
+/// [`MigrateError::UnsupportedVersion`].
+fn read_window(image: &[u8]) -> Result<Header<'_>, MigrateError> {
+    read_header(image, OLDEST_SUPPORTED).map_err(|e| match e {
+        SnapshotError::BadVersion { found, expected } => MigrateError::UnsupportedVersion {
+            found,
+            newest: expected,
+        },
+        e => MigrateError::Image(e),
     })
 }
 
-/// Re-encodes a decoded image at its (possibly stepped) version.
-fn encode(img: &MigImage<'_>) -> Vec<u8> {
+/// Function indices with at least one live frame anywhere in the image
+/// (thread, interrupt contexts, saved states, recovery stack).
+fn live_funcs(p: &Parsed<'_>) -> BTreeSet<u32> {
+    p.thread
+        .frames
+        .iter()
+        .chain(p.icontexts.iter().flat_map(|ic| &ic.frames))
+        .chain(p.int_state.values().flat_map(|s| &s.frames))
+        .chain(p.user_state.values().flat_map(|ic| &ic.frames))
+        .chain(p.recovery.iter().flat_map(|rc| &rc.frames))
+        .map(|f| f.func)
+        .collect()
+}
+
+/// Re-frames a parsed image at its (possibly stepped) version: the
+/// fingerprint block, the verbatim v3/v4 body and, at v4, the origin and
+/// manifest.
+fn encode(h: &Header<'_>, p: &Parsed<'_>) -> Vec<u8> {
     let mut w = W::default();
-    for &word in &img.fp {
+    for &word in &h.fp {
         w.u64(word);
     }
-    w.buf.extend_from_slice(img.body);
-    if img.version >= 4 {
-        w.u8(img.origin.unwrap_or(ORIGIN_CHECKPOINT));
+    w.buf.extend_from_slice(p.body);
+    if h.version >= 4 {
+        w.u8(p.origin.unwrap_or(ORIGIN_CHECKPOINT));
         write_manifest(
             &mut w,
-            img.manifest.as_ref().expect("v4 image has a manifest"),
+            p.manifest.as_ref().expect("v4 image has a manifest"),
         );
     }
-    let payload = w.buf;
-    let mut out = Vec::with_capacity(SNAP_HEADER + payload.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&img.version.to_le_bytes());
-    let fp_bytes: Vec<u8> = img.fp.iter().flat_map(|w| w.to_le_bytes()).collect();
-    out.extend_from_slice(&fnv64(&fp_bytes).to_le_bytes());
-    out.extend_from_slice(&img.code_id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame_image(h.version, &h.fp, h.code_id, &w.buf)
 }
 
 // ---------------------------------------------------------------------------
@@ -407,14 +251,19 @@ struct TargetInfo {
     fp: [u64; FP_FIELDS.len()],
 }
 
-fn upcast(img: &mut MigImage<'_>, step: &Upcaster, t: &TargetInfo) -> Result<(), MigrateError> {
+fn upcast(
+    h: &mut Header<'_>,
+    p: &mut Parsed<'_>,
+    step: &Upcaster,
+    t: &TargetInfo,
+) -> Result<(), MigrateError> {
     match (step.from, step.to) {
         (3, 4) => {
             // A v3 image has no manifest of its own code; the only sound
             // source is the restoring build — and only when it runs the
             // exact code the image was taken under. Cross-build adoption
             // of v3 images is therefore impossible by design.
-            if img.code_id != t.code_id {
+            if h.code_id != t.code_id {
                 return Err(MigrateError::Incompatible {
                     from: 3,
                     to: 4,
@@ -422,16 +271,16 @@ fn upcast(img: &mut MigImage<'_>, step: &Upcaster, t: &TargetInfo) -> Result<(),
                     detail: format!(
                         "a v3 image carries no code manifest, so it can only cross \
                          format versions onto the same build (image {:#x}, target {:#x})",
-                        img.code_id, t.code_id
+                        h.code_id, t.code_id
                     ),
                 });
             }
-            img.origin = Some(ORIGIN_CHECKPOINT);
-            img.manifest = Some(t.manifest.clone());
+            p.origin = Some(ORIGIN_CHECKPOINT);
+            p.manifest = Some(t.manifest.clone());
         }
         _ => unreachable!("unregistered upcast {}→{}", step.from, step.to),
     }
-    img.version = step.to;
+    h.version = step.to;
     Ok(())
 }
 
@@ -439,9 +288,9 @@ fn upcast(img: &mut MigImage<'_>, step: &Upcaster, t: &TargetInfo) -> Result<(),
 /// rebuild kept the module surface (exactly, or extended it purely by
 /// appending functions — indices, global addresses and dispatch tables
 /// stay meaningful) and every function with a live frame kept its body.
-fn adopt_code(img: &mut MigImage<'_>, t: &TargetInfo) -> Result<(), MigrateError> {
+fn adopt_code(h: &mut Header<'_>, p: &mut Parsed<'_>, t: &TargetInfo) -> Result<(), MigrateError> {
     let v = SNAPSHOT_VERSION;
-    let m = img.manifest.as_ref().expect("v4 image has a manifest");
+    let m = p.manifest.as_ref().expect("v4 image has a manifest");
     if m.surface_fp != t.manifest.surface_fp {
         // Not the same surface: a pure append is still adoptable.
         if m.globals_fp != t.manifest.globals_fp {
@@ -499,7 +348,7 @@ fn adopt_code(img: &mut MigImage<'_>, t: &TargetInfo) -> Result<(), MigrateError
     }
     // Live frames pin function bodies: a frame's pc/block indices only
     // mean anything in the body they were captured in.
-    for &idx in &img.live_funcs {
+    for idx in live_funcs(p) {
         let old = m
             .funcs
             .get(idx as usize)
@@ -526,11 +375,34 @@ fn adopt_code(img: &mut MigImage<'_>, t: &TargetInfo) -> Result<(), MigrateError
             });
         }
     }
-    img.code_id = t.code_id;
-    img.manifest = Some(t.manifest.clone());
+    h.code_id = t.code_id;
+    p.manifest = Some(t.manifest.clone());
     // `fused_sites` is code-derived, not config: adopt the target's.
-    img.fp[7] = t.fp[7];
+    h.fp[FP_FUSED_SITES] = t.fp[FP_FUSED_SITES];
     Ok(())
+}
+
+/// The whole migration policy over a parsed image: the upcaster chain
+/// from the image's version, then — when the image was taken under a
+/// different build — the compatible-rebuild adoption.
+fn carry(
+    h: &mut Header<'_>,
+    p: &mut Parsed<'_>,
+    t: &TargetInfo,
+) -> Result<MigrationReport, MigrateError> {
+    let mut report = MigrationReport {
+        from_version: h.version,
+        ..Default::default()
+    };
+    for step in UPCASTERS.iter().filter(|s| s.from >= report.from_version) {
+        upcast(h, p, step, t)?;
+        report.steps.push(step.name);
+    }
+    if h.code_id != t.code_id {
+        adopt_code(h, p, t)?;
+        report.code_migrated = true;
+    }
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -549,10 +421,16 @@ impl<T: Tracer> Vm<T> {
     /// Restores an image of *any* supported version, migrating it to the
     /// current format (and across a compatible rebuild) first. The
     /// strictness split: [`Vm::restore`] takes exactly what this build
-    /// wrote; `restore_migrated` is the deliberate upgrade path.
+    /// wrote; `restore_migrated` is the deliberate upgrade path. It runs
+    /// restore's own steps — header, fingerprint, parse, commit — with
+    /// the migration policy applied between parse and commit.
     pub fn restore_migrated(&mut self, image: &[u8]) -> Result<MigrationReport, MigrateError> {
-        let (bytes, report) = migrate(self, image)?;
-        self.restore(&bytes)?;
+        let mut h = read_window(image)?;
+        let t = self.target_info();
+        self.check_fingerprint(&h.fp, h.code_id != t.code_id)?;
+        let mut p = h.parse()?;
+        let report = carry(&mut h, &mut p, &t)?;
+        self.commit(p)?;
         Ok(report)
     }
 }
@@ -566,25 +444,13 @@ pub fn migrate<T: Tracer>(
     target: &Vm<T>,
     image: &[u8],
 ) -> Result<(Vec<u8>, MigrationReport), MigrateError> {
-    let mut img = decode(image)?;
-    let t = target.target_info();
-    let mut report = MigrationReport {
-        from_version: img.version,
-        ..Default::default()
-    };
-    if img.version == SNAPSHOT_VERSION && img.code_id == t.code_id {
+    let mut h = read_window(image)?;
+    let mut p = h.parse()?;
+    let report = carry(&mut h, &mut p, &target.target_info())?;
+    if report.steps.is_empty() && !report.code_migrated {
         return Ok((image.to_vec(), report));
     }
-    let start = img.version;
-    for step in UPCASTERS.iter().filter(|s| s.from >= start) {
-        upcast(&mut img, step, &t)?;
-        report.steps.push(step.name);
-    }
-    if img.code_id != t.code_id {
-        adopt_code(&mut img, &t)?;
-        report.code_migrated = true;
-    }
-    Ok((encode(&img), report))
+    Ok((encode(&h, &p), report))
 }
 
 /// Re-encodes a snapshot at format version `to` — the compat tool
@@ -599,10 +465,11 @@ pub fn reencode_at(image: &[u8], to: u32) -> Result<Vec<u8>, MigrateError> {
             newest: SNAPSHOT_VERSION,
         });
     }
-    let mut img = decode(image)?;
-    if to > img.version {
+    let mut h = read_window(image)?;
+    let mut p = h.parse()?;
+    if to > h.version {
         return Err(MigrateError::Incompatible {
-            from: img.version,
+            from: h.version,
             to,
             field: "code_manifest",
             detail: "upcasting to the current version requires a target build; \
@@ -610,12 +477,12 @@ pub fn reencode_at(image: &[u8], to: u32) -> Result<Vec<u8>, MigrateError> {
                 .into(),
         });
     }
-    if to < img.version {
-        img.origin = None;
-        img.manifest = None;
-        img.version = to;
+    if to < h.version {
+        p.origin = None;
+        p.manifest = None;
+        h.version = to;
     }
-    Ok(encode(&img))
+    Ok(encode(&h, &p))
 }
 
 /// Header-level migration plan for a snapshot or bundle file — what
@@ -628,19 +495,19 @@ pub fn plan(bytes: &[u8]) -> Result<MigrationPlan, MigrateError> {
         None
     };
     let snapshot = bundle.as_ref().map_or(bytes, |b| &b.snapshot[..]);
-    let (sversion, code_id, _) = split_image(snapshot)?;
+    let h = read_window(snapshot)?;
     let (kind, version, target) = match bundle {
         Some(_) => ("bundle", BUNDLE_VERSION, BUNDLE_VERSION),
-        None => ("snapshot", sversion, SNAPSHOT_VERSION),
+        None => ("snapshot", h.version, SNAPSHOT_VERSION),
     };
     Ok(MigrationPlan {
         kind,
         version,
         target,
-        code_id,
+        code_id: h.code_id,
         steps: UPCASTERS
             .iter()
-            .filter(|s| s.from >= sversion)
+            .filter(|s| s.from >= h.version)
             .copied()
             .collect(),
     })
@@ -667,7 +534,8 @@ pub fn migrate_bundle<T: Tracer>(
     if report.code_migrated {
         bundle.code_id = target.code_identity();
         // `fused_sites` is code-derived (same rewrite the snapshot took).
-        bundle.config_words[7] = fingerprint_words(&target.cfg, target.fused_sites())[7];
+        bundle.config_words[FP_FUSED_SITES] =
+            fingerprint_words(&target.cfg, target.fused_sites())[FP_FUSED_SITES];
     }
     Ok((bundle.to_bytes(), report))
 }

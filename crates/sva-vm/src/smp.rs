@@ -6,8 +6,8 @@
 //! * **Shared, read-only**: the translated code image (`Arc<CodeImage>`,
 //!   translation and superinstruction fusion happen once).
 //! * **Private**: memory image, thread state, recovery-domain stack,
-//!   the metapool table (object registries, MRU/page/singleton caches,
-//!   `CheckStats`), `VmStats`, console and trace sinks.
+//!   the metapool table (object registries, singleton and MRU lookup
+//!   layers, `CheckStats`), `VmStats`, console and trace sinks.
 //!   [`Vm::fork_for_cpu`] deep-clones these, and the kernel-stack window
 //!   is carved into per-CPU lanes. Each vCPU runs its own kernel
 //!   instance, so its metapools hold only its own objects and no vCPU
@@ -18,8 +18,7 @@
 //! first drains its own queue, then *steals* from its neighbours
 //! (`cpu+1, cpu+2, …` round-robin, stealing from the cold end), and
 //! finally parks on a condvar until the fleet drains. IRQs queued
-//! before a run are routed by [`IrqAffinity`]: round-robin fan-out
-//! (`Spread`), a fixed vCPU (`Pin`), or every vCPU (`Broadcast`).
+//! before a run fan out round-robin across vCPUs.
 //!
 //! At halt the per-vCPU reports are merged **deterministically in
 //! cpu-id order** and job results are returned in submission order.
@@ -43,7 +42,7 @@ use sva_rt::CheckStats;
 
 use crate::migrate::MigrateError;
 use crate::snapshot::{fnv64, SnapshotError};
-use crate::vm::{IrqAffinity, Vm, VmError, VmExit, VmStats};
+use crate::vm::{Vm, VmError, VmExit, VmStats};
 
 /// A per-job setup hook (see [`SmpJob::setup`]).
 pub type JobSetup = Arc<dyn Fn(&mut Vm) + Send + Sync>;
@@ -204,8 +203,7 @@ pub struct SmpMachine {
     /// The pristine machine forks are cut from. Never run.
     template: Vm,
     vcpus: u32,
-    affinity: IrqAffinity,
-    /// Round-robin cursor for `IrqAffinity::Spread`.
+    /// Round-robin cursor for [`Self::queue_irq`].
     irq_next: u32,
     /// Vectors queued per vCPU, delivered to its next job.
     irq_pending: Vec<VecDeque<i64>>,
@@ -213,15 +211,12 @@ pub struct SmpMachine {
 
 impl SmpMachine {
     /// Builds the machine around a pristine (never-run) template VM.
-    /// `cfg.vcpus` and `cfg.irq_affinity` on the template's config choose
-    /// the geometry.
+    /// `cfg.vcpus` on the template's config chooses the geometry.
     pub fn new(template: Vm) -> SmpMachine {
         let vcpus = template.cfg.vcpus.max(1);
-        let affinity = template.cfg.irq_affinity;
         SmpMachine {
             template,
             vcpus,
-            affinity,
             irq_next: 0,
             irq_pending: (0..vcpus).map(|_| VecDeque::new()).collect(),
         }
@@ -244,25 +239,13 @@ impl SmpMachine {
         &self.template
     }
 
-    /// Queues an IRQ vector, routed by the configured [`IrqAffinity`]:
-    /// `Spread` round-robins across vCPUs, `Pin(c)` targets vCPU `c`
-    /// (clamped), `Broadcast` queues on every vCPU. Pending vectors are
-    /// delivered to the next job the target vCPU runs.
+    /// Queues an IRQ vector on the next vCPU in round-robin order (timer
+    /// ticks load-balance). Pending vectors are delivered to the next job
+    /// the target vCPU runs.
     pub fn queue_irq(&mut self, vector: i64) {
-        let n = self.vcpus as usize;
-        match self.affinity {
-            IrqAffinity::Broadcast => {
-                for q in &mut self.irq_pending {
-                    q.push_back(vector);
-                }
-            }
-            IrqAffinity::Pin(c) => self.irq_pending[(c as usize).min(n - 1)].push_back(vector),
-            IrqAffinity::Spread => {
-                let c = self.irq_next as usize % n;
-                self.irq_next = self.irq_next.wrapping_add(1);
-                self.irq_pending[c].push_back(vector);
-            }
-        }
+        let c = self.irq_next as usize % self.vcpus as usize;
+        self.irq_next = self.irq_next.wrapping_add(1);
+        self.irq_pending[c].push_back(vector);
     }
 
     /// Runs a batch of jobs to completion across all vCPUs and merges

@@ -49,6 +49,11 @@
 //! than guessing. Images are likewise rejected when the restoring
 //! machine's config fingerprint or code identity differs — a snapshot is
 //! a *state* capture, not a code capture.
+//!
+//! This module is the only reader of `SVA1` images. [`read_header`]
+//! checks magic, version window, length and checksum for every entry
+//! point, [`Vm::restore`] and the migration paths in [`crate::migrate`]
+//! alike, and [`Header::parse`] decodes the payload for all of them.
 
 use std::collections::HashMap;
 
@@ -84,7 +89,7 @@ pub const ORIGIN_CHECKPOINT: u8 = 0;
 /// [`Vm::snapshot_midflight`], `SmpMachine::quiesce`).
 pub const ORIGIN_MIDFLIGHT: u8 = 1;
 /// Header size in bytes.
-pub(crate) const HEADER_LEN: usize = 40;
+const HEADER_LEN: usize = 40;
 
 /// Why an image could not be restored. Restore never partially applies:
 /// on any error the machine is untouched.
@@ -489,7 +494,7 @@ pub(crate) fn write_frame(w: &mut W, fr: &Frame) {
     }
 }
 
-pub(crate) fn read_frame(r: &mut R<'_>) -> RResult<Frame> {
+fn read_frame(r: &mut R<'_>) -> RResult<Frame> {
     let func = r.u32()?;
     let pc = r.u32()?;
     let block = r.u32()?;
@@ -529,7 +534,7 @@ pub(crate) fn write_frames(w: &mut W, frames: &[Frame]) {
     }
 }
 
-pub(crate) fn read_frames(r: &mut R<'_>) -> RResult<Vec<Frame>> {
+fn read_frames(r: &mut R<'_>) -> RResult<Vec<Frame>> {
     let n = r.len("frame stack", FRAME_MIN)?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
@@ -556,7 +561,7 @@ pub(crate) fn write_icontext(w: &mut W, ic: &IContext) {
     }
 }
 
-pub(crate) fn read_icontext(r: &mut R<'_>) -> RResult<IContext> {
+fn read_icontext(r: &mut R<'_>) -> RResult<IContext> {
     Ok(IContext {
         frames: read_frames(r)?,
         usp: r.u64()?,
@@ -582,7 +587,7 @@ pub(crate) fn write_saved_state(w: &mut W, s: &SavedState) {
     w.opt_u32(s.save_dst);
 }
 
-pub(crate) fn read_saved_state(r: &mut R<'_>) -> RResult<SavedState> {
+fn read_saved_state(r: &mut R<'_>) -> RResult<SavedState> {
     Ok(SavedState {
         frames: read_frames(r)?,
         icid: r.opt_u32()?,
@@ -609,7 +614,7 @@ pub(crate) fn write_recovery(w: &mut W, rc: &RecoveryCtx) {
     }
 }
 
-pub(crate) fn read_recovery(r: &mut R<'_>) -> RResult<RecoveryCtx> {
+fn read_recovery(r: &mut R<'_>) -> RResult<RecoveryCtx> {
     let frames = read_frames(r)?;
     let icid = r.opt_u32()?;
     let asid = r.u32()?;
@@ -673,7 +678,7 @@ pub(crate) fn write_pool_image(w: &mut W, img: &PoolImage) {
     w.u32(img.repairs);
 }
 
-pub(crate) fn read_pool_image(r: &mut R<'_>) -> RResult<PoolImage> {
+fn read_pool_image(r: &mut R<'_>) -> RResult<PoolImage> {
     let name = r.str()?;
     let n = r.len("pool ranges", 16)?;
     let mut ranges = Vec::with_capacity(n);
@@ -857,7 +862,7 @@ pub(crate) fn write_manifest(w: &mut W, m: &CodeManifest) {
     }
 }
 
-pub(crate) fn read_manifest(r: &mut R<'_>) -> RResult<CodeManifest> {
+fn read_manifest(r: &mut R<'_>) -> RResult<CodeManifest> {
     let surface_fp = r.u64()?;
     let globals_fp = r.u64()?;
     let n = r.len("manifest functions", MANIFEST_FUNC_MIN)?;
@@ -876,24 +881,135 @@ pub(crate) fn read_manifest(r: &mut R<'_>) -> RResult<CodeManifest> {
     })
 }
 
-pub(crate) fn read_origin(r: &mut R<'_>) -> RResult<u8> {
+fn read_origin(r: &mut R<'_>) -> RResult<u8> {
     match r.u8()? {
         o @ (ORIGIN_CHECKPOINT | ORIGIN_MIDFLIGHT) => Ok(o),
         v => Err(SnapshotError::Malformed(format!("bad origin byte {v}"))),
     }
 }
 
+/// Bytes of the fingerprint block that opens every payload.
+const FP_BYTES: usize = FP_FIELDS.len() * 8;
+/// Index of the `fused_sites` word in the fingerprint block. It is
+/// code-derived, not config, so an image adopted onto a rebuilt kernel
+/// takes the target's value.
+pub(crate) const FP_FUSED_SITES: usize = 7;
+
+/// An image whose header checked out ([`read_header`]): magic, a version
+/// inside the caller's window, the advertised payload present and
+/// matching its checksum, and the fingerprint block read.
+pub(crate) struct Header<'a> {
+    /// Format version.
+    pub(crate) version: u32,
+    /// Code identity of the build that wrote the image.
+    pub(crate) code_id: u64,
+    /// The payload's fingerprint block, one word per [`FP_FIELDS`] entry.
+    pub(crate) fp: [u64; FP_FIELDS.len()],
+    payload: &'a [u8],
+}
+
+/// The one header check of an `SVA1` image, shared by [`Vm::restore`]
+/// (`oldest` = [`SNAPSHOT_VERSION`]) and every migration entry point
+/// (`oldest` = [`crate::migrate::OLDEST_SUPPORTED`]). A version outside
+/// `oldest..=SNAPSHOT_VERSION` is [`SnapshotError::BadVersion`].
+pub(crate) fn read_header(image: &[u8], oldest: u32) -> RResult<Header<'_>> {
+    if image.len() < HEADER_LEN {
+        return Err(SnapshotError::Truncated {
+            need: HEADER_LEN,
+            have: image.len(),
+        });
+    }
+    let magic: [u8; 4] = image[0..4].try_into().unwrap();
+    if magic != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic(magic));
+    }
+    let version = u32::from_le_bytes(image[4..8].try_into().unwrap());
+    if !(oldest..=SNAPSHOT_VERSION).contains(&version) {
+        return Err(SnapshotError::BadVersion {
+            found: version,
+            expected: SNAPSHOT_VERSION,
+        });
+    }
+    let code_id = u64::from_le_bytes(image[16..24].try_into().unwrap());
+    let payload_len = u64::from_le_bytes(image[24..32].try_into().unwrap()) as usize;
+    let checksum = u64::from_le_bytes(image[32..40].try_into().unwrap());
+    if image.len() < HEADER_LEN + payload_len {
+        return Err(SnapshotError::Truncated {
+            need: HEADER_LEN + payload_len,
+            have: image.len(),
+        });
+    }
+    let payload = &image[HEADER_LEN..HEADER_LEN + payload_len];
+    let computed = fnv64(payload);
+    if computed != checksum {
+        return Err(SnapshotError::Corrupt {
+            stored: checksum,
+            computed,
+        });
+    }
+    let mut r = R::new(payload);
+    let mut fp = [0u64; FP_FIELDS.len()];
+    for word in &mut fp {
+        *word = r.u64()?;
+    }
+    Ok(Header {
+        version,
+        code_id,
+        fp,
+        payload,
+    })
+}
+
+impl<'a> Header<'a> {
+    /// Decodes the payload after the fingerprint block in full, trailing
+    /// bytes included in the check.
+    pub(crate) fn parse(&self) -> RResult<Parsed<'a>> {
+        let mut r = R {
+            b: self.payload,
+            pos: FP_BYTES,
+        };
+        let parsed = parse_payload(&mut r, self.version)?;
+        if r.pos != self.payload.len() {
+            return Err(SnapshotError::Malformed(format!(
+                "{} trailing payload bytes",
+                self.payload.len() - r.pos
+            )));
+        }
+        Ok(parsed)
+    }
+}
+
+/// Frames a payload (fingerprint block first) as an image: the header
+/// [`Vm::snapshot`] writes and migration re-frames with.
+pub(crate) fn frame_image(
+    version: u32,
+    fp: &[u64; FP_FIELDS.len()],
+    code_id: u64,
+    payload: &[u8],
+) -> Vec<u8> {
+    let fp_bytes: Vec<u8> = fp.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let mut image = Vec::with_capacity(HEADER_LEN + payload.len());
+    image.extend_from_slice(&SNAPSHOT_MAGIC);
+    image.extend_from_slice(&version.to_le_bytes());
+    image.extend_from_slice(&fnv64(&fp_bytes).to_le_bytes());
+    image.extend_from_slice(&code_id.to_le_bytes());
+    image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    image.extend_from_slice(&fnv64(payload).to_le_bytes());
+    image.extend_from_slice(payload);
+    image
+}
+
 /// Everything a payload decodes to, parsed in full before any of it is
 /// committed to the machine (restore is atomic: error ⇒ untouched).
 /// Memory regions stay borrowed from the image until commit.
-struct Parsed<'a> {
+pub(crate) struct Parsed<'a> {
     kernel: SparseRegion<'a>,
     spaces: Vec<(bool, SparseRegion<'a>)>,
     current_asid: u32,
-    thread: Thread,
-    icontexts: Vec<IContext>,
-    int_state: HashMap<u64, SavedState>,
-    user_state: HashMap<u64, IContext>,
+    pub(crate) thread: Thread,
+    pub(crate) icontexts: Vec<IContext>,
+    pub(crate) int_state: HashMap<u64, SavedState>,
+    pub(crate) user_state: HashMap<u64, IContext>,
     syscalls: HashMap<i64, u32>,
     interrupts: HashMap<i64, u32>,
     pool_images: Vec<PoolImage>,
@@ -903,13 +1019,151 @@ struct Parsed<'a> {
     fuel: u64,
     halted: Option<u64>,
     pending_irq: Vec<i64>,
-    recovery: Vec<RecoveryCtx>,
+    pub(crate) recovery: Vec<RecoveryCtx>,
     gep_skew: Option<(u32, i64)>,
     pending_probe: Option<(u64, u32, u64)>,
     pending_skew: Option<(u64, u32, i64)>,
     call_floor: usize,
     trap_count: u64,
     cpu_id: u32,
+    /// The payload bytes after the fingerprint block through `cpu_id`:
+    /// identical in v3 and v4, so migration re-frames them verbatim.
+    pub(crate) body: &'a [u8],
+    /// v4 only: capture origin. Restore drops it.
+    pub(crate) origin: Option<u8>,
+    /// v4 only: code manifest. Restore drops it; migration judges
+    /// cross-build adoption by it.
+    pub(crate) manifest: Option<CodeManifest>,
+}
+
+fn parse_payload<'a>(r: &mut R<'a>, version: u32) -> RResult<Parsed<'a>> {
+    let body_start = r.pos;
+    let kernel = r.sparse()?;
+    let nspaces = r.len("address spaces", SPACE_MIN)?;
+    let mut spaces = Vec::with_capacity(nspaces);
+    for _ in 0..nspaces {
+        let live = r.bool()?;
+        let data = r.sparse()?;
+        spaces.push((live, data));
+    }
+    let current_asid = r.u32()?;
+    let thread = Thread {
+        frames: read_frames(r)?,
+        asid: r.u32()?,
+        icid: r.opt_u32()?,
+        ksp: r.u64()?,
+        usp: r.u64()?,
+        fp_dirty: r.bool()?,
+    };
+    let nic = r.len("interrupt contexts", ICONTEXT_MIN)?;
+    let mut icontexts = Vec::with_capacity(nic);
+    for _ in 0..nic {
+        icontexts.push(read_icontext(r)?);
+    }
+    let n = r.len("saved integer states", 8 + SAVED_STATE_MIN)?;
+    let mut int_state = HashMap::with_capacity(n);
+    for _ in 0..n {
+        let k = r.u64()?;
+        int_state.insert(k, read_saved_state(r)?);
+    }
+    let n = r.len("saved user states", 8 + ICONTEXT_MIN)?;
+    let mut user_state = HashMap::with_capacity(n);
+    for _ in 0..n {
+        let k = r.u64()?;
+        user_state.insert(k, read_icontext(r)?);
+    }
+    let n = r.len("syscall table", 8 + 4)?;
+    let mut syscalls = HashMap::with_capacity(n);
+    for _ in 0..n {
+        let k = r.i64()?;
+        syscalls.insert(k, r.u32()?);
+    }
+    let n = r.len("interrupt table", 8 + 4)?;
+    let mut interrupts = HashMap::with_capacity(n);
+    for _ in 0..n {
+        let k = r.i64()?;
+        interrupts.insert(k, r.u32()?);
+    }
+    let n = r.len("pool images", POOL_IMAGE_MIN)?;
+    let mut pool_images = Vec::with_capacity(n);
+    for _ in 0..n {
+        pool_images.push(read_pool_image(r)?);
+    }
+    let mut func_stats = [0u64; CheckStats::WORDS];
+    for word in &mut func_stats {
+        *word = r.u64()?;
+    }
+    let console = r.bytes()?;
+    let mut words = [0u64; 22];
+    for word in &mut words {
+        *word = r.u64()?;
+    }
+    let stats = stats_from_words(words);
+    let fuel = r.u64()?;
+    let halted = if r.bool()? { Some(r.u64()?) } else { None };
+    let n = r.len("pending irqs", 8)?;
+    let mut pending_irq = Vec::with_capacity(n);
+    for _ in 0..n {
+        pending_irq.push(r.i64()?);
+    }
+    let n = r.len("recovery stack", RECOVERY_MIN)?;
+    let mut recovery = Vec::with_capacity(n);
+    for _ in 0..n {
+        recovery.push(read_recovery(r)?);
+    }
+    let gep_skew = if r.bool()? {
+        Some((r.u32()?, r.i64()?))
+    } else {
+        None
+    };
+    let pending_probe = if r.bool()? {
+        Some((r.u64()?, r.u32()?, r.u64()?))
+    } else {
+        None
+    };
+    let pending_skew = if r.bool()? {
+        Some((r.u64()?, r.u32()?, r.i64()?))
+    } else {
+        None
+    };
+    let call_floor = r.u64()? as usize;
+    let trap_count = r.u64()?;
+    let cpu_id = r.u32()?;
+    let body = &r.b[body_start..r.pos];
+    // Origin and manifest are advisory (see `snapshot_with_origin`).
+    let (origin, manifest) = if version >= 4 {
+        (Some(read_origin(r)?), Some(read_manifest(r)?))
+    } else {
+        (None, None)
+    };
+    Ok(Parsed {
+        kernel,
+        spaces,
+        current_asid,
+        thread,
+        icontexts,
+        int_state,
+        user_state,
+        syscalls,
+        interrupts,
+        pool_images,
+        func_stats,
+        console,
+        stats,
+        fuel,
+        halted,
+        pending_irq,
+        recovery,
+        gep_skew,
+        pending_probe,
+        pending_skew,
+        call_floor,
+        trap_count,
+        cpu_id,
+        body,
+        origin,
+        manifest,
+    })
 }
 
 impl<T: Tracer> Vm<T> {
@@ -941,7 +1195,8 @@ impl<T: Tracer> Vm<T> {
         let mut w = W::default();
         // Fingerprint block: one word per config field so restore can
         // name the exact mismatching field.
-        for word in fingerprint_words(&self.cfg, self.fused_sites()) {
+        let fp = fingerprint_words(&self.cfg, self.fused_sites());
+        for word in fp {
             w.u64(word);
         }
         // Memory.
@@ -1061,23 +1316,7 @@ impl<T: Tracer> Vm<T> {
         // tooling can tell a boot-pause checkpoint from a mid-flight cut.
         w.u8(origin);
         write_manifest(&mut w, self.code.manifest());
-
-        let payload = w.buf;
-        let mut image = Vec::with_capacity(HEADER_LEN + payload.len());
-        image.extend_from_slice(&SNAPSHOT_MAGIC);
-        image.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        let fp = fnv64(
-            &fingerprint_words(&self.cfg, self.fused_sites())
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .collect::<Vec<u8>>(),
-        );
-        image.extend_from_slice(&fp.to_le_bytes());
-        image.extend_from_slice(&self.code_identity().to_le_bytes());
-        image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        image.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        image.extend_from_slice(&payload);
-        image
+        frame_image(SNAPSHOT_VERSION, &fp, self.code_identity(), &w.buf)
     }
 
     /// Replaces this machine's state with the image's. The machine must
@@ -1087,195 +1326,42 @@ impl<T: Tracer> Vm<T> {
     /// On any error the machine is untouched — the payload is parsed in
     /// full before the first field is committed.
     pub fn restore(&mut self, image: &[u8]) -> Result<(), SnapshotError> {
-        if image.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated {
-                need: HEADER_LEN,
-                have: image.len(),
+        let h = read_header(image, SNAPSHOT_VERSION)?;
+        self.check_fingerprint(&h.fp, false)?;
+        let machine_code = self.code_identity();
+        if h.code_id != machine_code {
+            return Err(SnapshotError::CodeMismatch {
+                image: h.code_id,
+                machine: machine_code,
             });
         }
-        let magic: [u8; 4] = image[0..4].try_into().unwrap();
-        if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        let version = u32::from_le_bytes(image[4..8].try_into().unwrap());
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::BadVersion {
-                found: version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let code_id = u64::from_le_bytes(image[16..24].try_into().unwrap());
-        let payload_len = u64::from_le_bytes(image[24..32].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(image[32..40].try_into().unwrap());
-        if image.len() < HEADER_LEN + payload_len {
-            return Err(SnapshotError::Truncated {
-                need: HEADER_LEN + payload_len,
-                have: image.len(),
-            });
-        }
-        let payload = &image[HEADER_LEN..HEADER_LEN + payload_len];
-        let computed = fnv64(payload);
-        if computed != checksum {
-            return Err(SnapshotError::Corrupt {
-                stored: checksum,
-                computed,
-            });
-        }
-        let mut r = R::new(payload);
-        // Fingerprint block first: field-level mismatch beats the opaque
-        // header-hash comparison in every error message.
+        let parsed = h.parse()?;
+        self.commit(parsed)
+    }
+
+    /// Compares an image's fingerprint block with this machine's config,
+    /// field by field (a named field beats the opaque header hash in
+    /// every error message). `adopting` exempts `fused_sites` for an
+    /// image taken under a different build, which takes this build's.
+    pub(crate) fn check_fingerprint(
+        &self,
+        fp: &[u64; FP_FIELDS.len()],
+        adopting: bool,
+    ) -> RResult<()> {
         let machine_fp = fingerprint_words(&self.cfg, self.fused_sites());
         for (i, field) in FP_FIELDS.iter().enumerate() {
-            let image_word = r.u64()?;
-            if image_word != machine_fp[i] {
+            if fp[i] != machine_fp[i] && !(adopting && i == FP_FUSED_SITES) {
                 return Err(SnapshotError::ConfigMismatch {
                     field,
-                    image: image_word,
+                    image: fp[i],
                     machine: machine_fp[i],
                 });
             }
         }
-        let machine_code = self.code_identity();
-        if code_id != machine_code {
-            return Err(SnapshotError::CodeMismatch {
-                image: code_id,
-                machine: machine_code,
-            });
-        }
-        let parsed = Self::parse_payload(&mut r)?;
-        if r.pos != payload.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "{} trailing payload bytes",
-                payload.len() - r.pos
-            )));
-        }
-        self.commit(parsed)
+        Ok(())
     }
 
-    fn parse_payload<'a>(r: &mut R<'a>) -> Result<Parsed<'a>, SnapshotError> {
-        let kernel = r.sparse()?;
-        let nspaces = r.len("address spaces", SPACE_MIN)?;
-        let mut spaces = Vec::with_capacity(nspaces);
-        for _ in 0..nspaces {
-            let live = r.bool()?;
-            let data = r.sparse()?;
-            spaces.push((live, data));
-        }
-        let current_asid = r.u32()?;
-        let thread = Thread {
-            frames: read_frames(r)?,
-            asid: r.u32()?,
-            icid: r.opt_u32()?,
-            ksp: r.u64()?,
-            usp: r.u64()?,
-            fp_dirty: r.bool()?,
-        };
-        let nic = r.len("interrupt contexts", ICONTEXT_MIN)?;
-        let mut icontexts = Vec::with_capacity(nic);
-        for _ in 0..nic {
-            icontexts.push(read_icontext(r)?);
-        }
-        let n = r.len("saved integer states", 8 + SAVED_STATE_MIN)?;
-        let mut int_state = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64()?;
-            int_state.insert(k, read_saved_state(r)?);
-        }
-        let n = r.len("saved user states", 8 + ICONTEXT_MIN)?;
-        let mut user_state = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.u64()?;
-            user_state.insert(k, read_icontext(r)?);
-        }
-        let n = r.len("syscall table", 8 + 4)?;
-        let mut syscalls = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.i64()?;
-            syscalls.insert(k, r.u32()?);
-        }
-        let n = r.len("interrupt table", 8 + 4)?;
-        let mut interrupts = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.i64()?;
-            interrupts.insert(k, r.u32()?);
-        }
-        let n = r.len("pool images", POOL_IMAGE_MIN)?;
-        let mut pool_images = Vec::with_capacity(n);
-        for _ in 0..n {
-            pool_images.push(read_pool_image(r)?);
-        }
-        let mut func_stats = [0u64; CheckStats::WORDS];
-        for word in &mut func_stats {
-            *word = r.u64()?;
-        }
-        let console = r.bytes()?;
-        let mut words = [0u64; 22];
-        for word in &mut words {
-            *word = r.u64()?;
-        }
-        let stats = stats_from_words(words);
-        let fuel = r.u64()?;
-        let halted = if r.bool()? { Some(r.u64()?) } else { None };
-        let n = r.len("pending irqs", 8)?;
-        let mut pending_irq = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending_irq.push(r.i64()?);
-        }
-        let n = r.len("recovery stack", RECOVERY_MIN)?;
-        let mut recovery = Vec::with_capacity(n);
-        for _ in 0..n {
-            recovery.push(read_recovery(r)?);
-        }
-        let gep_skew = if r.bool()? {
-            Some((r.u32()?, r.i64()?))
-        } else {
-            None
-        };
-        let pending_probe = if r.bool()? {
-            Some((r.u64()?, r.u32()?, r.u64()?))
-        } else {
-            None
-        };
-        let pending_skew = if r.bool()? {
-            Some((r.u64()?, r.u32()?, r.i64()?))
-        } else {
-            None
-        };
-        let call_floor = r.u64()? as usize;
-        let trap_count = r.u64()?;
-        let cpu_id = r.u32()?;
-        // Origin and manifest are advisory (see `snapshot_with_origin`);
-        // decode them for structural validity, then drop them.
-        let _origin = read_origin(r)?;
-        let _manifest = read_manifest(r)?;
-        Ok(Parsed {
-            kernel,
-            spaces,
-            current_asid,
-            thread,
-            icontexts,
-            int_state,
-            user_state,
-            syscalls,
-            interrupts,
-            pool_images,
-            func_stats,
-            console,
-            stats,
-            fuel,
-            halted,
-            pending_irq,
-            recovery,
-            gep_skew,
-            pending_probe,
-            pending_skew,
-            call_floor,
-            trap_count,
-            cpu_id,
-        })
-    }
-
-    fn commit(&mut self, p: Parsed<'_>) -> Result<(), SnapshotError> {
+    pub(crate) fn commit(&mut self, p: Parsed<'_>) -> Result<(), SnapshotError> {
         if p.kernel.total != self.mem.kernel_bytes().len() {
             return Err(SnapshotError::Malformed(format!(
                 "kernel region is {} bytes, image has {}",
@@ -1524,5 +1610,31 @@ out:
         let mut r = R::new(&fits);
         r.str().unwrap();
         assert_eq!(r.len("pool ranges", 16).unwrap(), filler.len() / 16);
+    }
+
+    #[test]
+    fn migration_bounds_counts_like_restore() {
+        // A previous-format image goes through the same parser as a
+        // current one: an address-space count one more than the remaining
+        // bytes can hold is refused by the count check itself.
+        let v3 = crate::migrate::reencode_at(&mk(cfg()).snapshot(), 3).unwrap();
+        let mut r = R {
+            b: &v3[HEADER_LEN..],
+            pos: FP_BYTES,
+        };
+        r.sparse().unwrap();
+        let at = HEADER_LEN + r.pos;
+        let remaining = v3.len() - at - 8;
+        let mut img = v3.clone();
+        let count = (remaining / SPACE_MIN + 1) as u64;
+        img[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        let checksum = fnv64(&img[HEADER_LEN..]);
+        img[32..40].copy_from_slice(&checksum.to_le_bytes());
+        match mk(cfg()).restore_migrated(&img) {
+            Err(crate::migrate::MigrateError::Image(SnapshotError::Malformed(m))) => {
+                assert!(m.contains("address spaces count"), "{m}")
+            }
+            r => panic!("expected Malformed, got {r:?}"),
+        }
     }
 }

@@ -209,22 +209,6 @@ pub struct VmConfig {
     /// metapools, check counters and trace rings, merged deterministically
     /// at halt.
     pub vcpus: u32,
-    /// How SMP machines route queued interrupts to vCPUs (ignored at
-    /// `vcpus == 1`).
-    pub irq_affinity: IrqAffinity,
-}
-
-/// Interrupt routing policy of an SMP machine (DESIGN.md §4.9).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum IrqAffinity {
-    /// Fan queued IRQs out round-robin across vCPUs (timer ticks load-
-    /// balance). The default.
-    #[default]
-    Spread,
-    /// Pin every IRQ to one vCPU (classic IRQ-owning-CPU kernels).
-    Pin(u32),
-    /// Deliver each IRQ to *every* vCPU (TLB-shootdown-style broadcast).
-    Broadcast,
 }
 
 impl std::fmt::Debug for VmConfig {
@@ -240,7 +224,6 @@ impl std::fmt::Debug for VmConfig {
             .field("hot_profile", &self.hot_profile.is_some())
             .field("singleton_path", &self.singleton_path)
             .field("vcpus", &self.vcpus)
-            .field("irq_affinity", &self.irq_affinity)
             .finish()
     }
 }
@@ -258,7 +241,6 @@ impl Default for VmConfig {
             hot_profile: None,
             singleton_path: true,
             vcpus: 1,
-            irq_affinity: IrqAffinity::default(),
         }
     }
 }
