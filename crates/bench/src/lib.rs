@@ -168,29 +168,57 @@ pub fn pct_over(native: f64, other: f64) -> f64 {
 pub struct LatencyRow {
     /// Row label (e.g. `"getpid"`).
     pub label: String,
-    /// Native per-iteration latency in microseconds of wall time.
+    /// Native per-iteration latency in microseconds of wall time (median
+    /// of [`WALL_REPS`] runs).
     pub native_us: f64,
-    /// Overheads (%) for sva-gcc, sva-llvm, sva-safe.
+    /// Fastest and slowest of the native runs behind `native_us`.
+    pub native_us_range: (f64, f64),
+    /// Wall-time overheads (%) of the medians for sva-gcc, sva-llvm,
+    /// sva-safe.
     pub over: [f64; 3],
+    /// Largest run-to-run spread of any configuration: `(max − min) /
+    /// median` in %. Overhead differences below it are noise.
+    pub spread_pct: f64,
     /// Cycle-count overheads (%) — the deterministic view.
     pub cyc_over: [f64; 3],
 }
 
-/// Wall-clock repetitions per configuration (minimum is reported, cutting
-/// scheduler noise; virtual cycles are deterministic and need one run).
-pub const WALL_REPS: usize = 3;
+/// Wall-clock repetitions per configuration. The median is reported with
+/// the min–max spread, so one scheduling hiccup cannot set a row's
+/// figure; virtual cycles are deterministic and identical across runs.
+pub const WALL_REPS: usize = 5;
 
-/// Runs a workload several times, keeping the fastest wall time (cycles
-/// and instructions are identical across runs).
-pub fn run_workload_min(kind: KernelKind, prog: &str, arg: u64) -> Sample {
-    let mut best = run_workload(kind, prog, arg);
-    for _ in 1..WALL_REPS {
-        let s = run_workload(kind, prog, arg);
-        if s.wall < best.wall {
-            best.wall = s.wall;
-        }
+/// [`WALL_REPS`] identical runs of one workload.
+#[derive(Clone, Copy, Debug)]
+pub struct Repeated {
+    /// The first run, its wall time replaced by the median of all runs.
+    pub sample: Sample,
+    /// Fastest run.
+    pub wall_min: Duration,
+    /// Slowest run.
+    pub wall_max: Duration,
+}
+
+impl Repeated {
+    /// `(max − min) / median`, in %.
+    pub fn spread_pct(&self) -> f64 {
+        100.0 * (self.wall_max - self.wall_min).as_secs_f64() / self.sample.wall.as_secs_f64()
     }
-    best
+}
+
+/// Runs a workload [`WALL_REPS`] times, keeping the median wall time and
+/// the spread (cycles and instructions are identical across runs).
+pub fn run_workload_median(kind: KernelKind, prog: &str, arg: u64) -> Repeated {
+    let mut sample = run_workload(kind, prog, arg);
+    let mut walls = vec![sample.wall];
+    walls.extend((1..WALL_REPS).map(|_| run_workload(kind, prog, arg).wall));
+    walls.sort();
+    sample.wall = walls[walls.len() / 2];
+    Repeated {
+        sample,
+        wall_min: walls[0],
+        wall_max: walls[walls.len() - 1],
+    }
 }
 
 /// Measures one workload row across configurations.
@@ -199,38 +227,54 @@ pub fn run_workload_min(kind: KernelKind, prog: &str, arg: u64) -> Sample {
 /// total/iters. A warmup run (the kernel image build) happens on first use
 /// via the harness cache.
 pub fn latency_row(label: &str, prog: &str, arg: u64, iters: u64) -> LatencyRow {
-    let samples = KernelKind::ALL.map(|k| (k, run_workload_min(k, prog, arg)));
-    let native = &samples[0].1;
-    let nus = native.wall.as_secs_f64() * 1e6 / iters as f64;
+    let runs = KernelKind::ALL.map(|k| run_workload_median(k, prog, arg));
+    let native = &runs[0];
+    let per_iter = |d: Duration| d.as_secs_f64() * 1e6 / iters as f64;
     let mut over = [0.0; 3];
     let mut cyc_over = [0.0; 3];
-    for (i, (_, s)) in samples.iter().skip(1).enumerate() {
-        over[i] = pct_over(native.wall.as_secs_f64(), s.wall.as_secs_f64());
-        cyc_over[i] = pct_over(native.cycles as f64, s.cycles as f64);
+    for (i, r) in runs.iter().skip(1).enumerate() {
+        over[i] = pct_over(
+            native.sample.wall.as_secs_f64(),
+            r.sample.wall.as_secs_f64(),
+        );
+        cyc_over[i] = pct_over(native.sample.cycles as f64, r.sample.cycles as f64);
     }
     LatencyRow {
         label: label.to_string(),
-        native_us: nus,
+        native_us: per_iter(native.sample.wall),
+        native_us_range: (per_iter(native.wall_min), per_iter(native.wall_max)),
         over,
+        spread_pct: runs.iter().map(Repeated::spread_pct).fold(0.0, f64::max),
         cyc_over,
     }
 }
 
-/// Prints a latency table in the paper's Table 5/7 format.
+/// Prints a latency table in the paper's Table 5/7 format. Wall columns
+/// are medians of [`WALL_REPS`] runs: the native latency with its min–max,
+/// the overheads, then the largest run-to-run spread of the row.
 pub fn print_latency_table(title: &str, rows: &[LatencyRow]) {
     println!("\n== {title} ==");
     println!(
-        "{:<22} {:>12} {:>10} {:>10} {:>10}   {:>24}",
-        "Test", "Native (us)", "gcc (%)", "llvm (%)", "Safe (%)", "[cycle-count overheads]"
+        "{:<22} {:>12} {:>25} {:>10} {:>10} {:>10} {:>10}   {:>24}",
+        "Test",
+        "Native (us)",
+        "[min-max]",
+        "gcc (%)",
+        "llvm (%)",
+        "Safe (%)",
+        "spread (%)",
+        "[cycle-count overheads]"
     );
     for r in rows {
         println!(
-            "{:<22} {:>12.3} {:>10.1} {:>10.1} {:>10.1}   {:>6.1} {:>6.1} {:>6.1}",
+            "{:<22} {:>12.3} {:>25} {:>10.1} {:>10.1} {:>10.1} {:>10.1}   {:>6.1} {:>6.1} {:>6.1}",
             r.label,
             r.native_us,
+            format!("[{:.3}-{:.3}]", r.native_us_range.0, r.native_us_range.1),
             r.over[0],
             r.over[1],
             r.over[2],
+            r.spread_pct,
             r.cyc_over[0],
             r.cyc_over[1],
             r.cyc_over[2]
@@ -251,13 +295,13 @@ pub struct BandwidthRow {
 /// Measures a bandwidth workload that moves `bytes` bytes in total.
 ///
 /// Reductions are computed on *virtual cycles* (deterministic, calibrated);
-/// the native MB/s column uses wall time.
+/// the native MB/s column uses the median wall time of [`WALL_REPS`] runs.
 pub fn bandwidth_row(label: &str, prog: &str, arg: u64, bytes: u64) -> BandwidthRow {
-    let samples = KernelKind::ALL.map(|k| (k, run_workload_min(k, prog, arg)));
-    let native_mbs = (bytes as f64 / 1e6) / samples[0].1.wall.as_secs_f64();
-    let ncyc = samples[0].1.cycles as f64;
+    let samples = KernelKind::ALL.map(|k| run_workload_median(k, prog, arg).sample);
+    let native_mbs = (bytes as f64 / 1e6) / samples[0].wall.as_secs_f64();
+    let ncyc = samples[0].cycles as f64;
     let mut reduction = [0.0; 3];
-    for (i, (_, s)) in samples.iter().skip(1).enumerate() {
+    for (i, s) in samples.iter().skip(1).enumerate() {
         // Bandwidth ∝ 1/time: reduction = 1 − native_cycles/other_cycles.
         reduction[i] = 100.0 * (1.0 - ncyc / s.cycles as f64);
     }

@@ -271,30 +271,26 @@ impl W {
         }
     }
     /// Zero-dominated byte region as a page-granular nonzero-page list.
-    /// The kernel region is 32 MiB and mostly zeros; post-boot images
-    /// shrink ~50× under this encoding.
-    pub(crate) fn sparse(&mut self, data: &[u8]) {
+    /// Only the `candidates` pages (ascending indices) are visited, so they
+    /// must include every nonzero page of `data`: the kernel region passes
+    /// its touched pages, a user space its full range. Each candidate still
+    /// gets the zero test, so the image depends on the bytes alone, never
+    /// on which candidates were offered. The kernel region is 32 MiB and
+    /// mostly zeros; post-boot images shrink ~50× under this encoding.
+    pub(crate) fn sparse(&mut self, data: &[u8], candidates: impl Iterator<Item = usize>) {
         self.u64(data.len() as u64);
         let page = PAGE_SIZE as usize;
-        let nonzero: Vec<usize> = data
-            .chunks(page)
-            .enumerate()
-            .filter(|(_, c)| !all_zero(c))
-            .map(|(i, _)| i)
-            .collect();
+        let chunk = |i: usize| &data[i * page..((i + 1) * page).min(data.len())];
+        let nonzero: Vec<usize> = candidates.filter(|&i| !all_zero(chunk(i))).collect();
         self.u64(nonzero.len() as u64);
         for i in nonzero {
             self.u64(i as u64);
-            let start = i * page;
-            let end = (start + page).min(data.len());
-            self.buf.extend_from_slice(&data[start..end]);
+            self.buf.extend_from_slice(chunk(i));
         }
     }
 }
 
-/// Word-at-a-time zero test: the sparse codec scans the full 32 MiB
-/// kernel region on every snapshot *and* every restore, and a byte-wise
-/// loop there costs more than the fork it enables saves.
+/// Word-at-a-time zero test over one candidate page of the sparse codec.
 fn all_zero(bytes: &[u8]) -> bool {
     let mut words = bytes.chunks_exact(8);
     if words.any(|c| u64::from_ne_bytes(c.try_into().unwrap()) != 0) {
@@ -417,6 +413,13 @@ pub(crate) struct SparseRegion<'a> {
 }
 
 impl SparseRegion<'_> {
+    /// Indices of the pages the image carries, in image order.
+    fn pages(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pages
+            .iter()
+            .map(|&(start, _)| start / PAGE_SIZE as usize)
+    }
+
     /// Decodes into a fresh zero-filled buffer. `vec![0; n]` is a calloc:
     /// the buffer stays zero-page-backed until written, so this touches
     /// only the image's nonzero pages no matter how large the region is.
@@ -1200,12 +1203,12 @@ impl<T: Tracer> Vm<T> {
             w.u64(word);
         }
         // Memory.
-        w.sparse(self.mem.kernel_bytes());
+        w.sparse(self.mem.kernel_bytes(), self.mem.touched_kernel_pages());
         let spaces = self.mem.all_spaces();
         w.u64(spaces.len() as u64);
         for s in spaces {
             w.bool(s.live);
-            w.sparse(&s.data);
+            w.sparse(&s.data, 0..s.data.len().div_ceil(PAGE_SIZE as usize));
         }
         w.u32(self.mem.current_asid);
         // Thread.
@@ -1385,7 +1388,8 @@ impl<T: Tracer> Vm<T> {
             .restore_images(&p.pool_images, p.func_stats)
             .map_err(SnapshotError::Malformed)?;
         self.pools = pools;
-        self.mem.set_kernel(p.kernel.materialize());
+        self.mem
+            .set_kernel(p.kernel.materialize(), p.kernel.pages());
         self.mem.set_spaces(
             p.spaces
                 .into_iter()
@@ -1457,6 +1461,25 @@ out:
 
     fn mk(c: VmConfig) -> Vm {
         Vm::new(parse_module(PROG).unwrap(), c).unwrap()
+    }
+
+    #[test]
+    fn kernel_capture_matches_a_full_region_scan() {
+        let mut vm = mk(cfg());
+        vm.call("work", &[7]).unwrap();
+        // A page written and then zeroed again stays marked; the zero test
+        // still keeps it out of the image.
+        let zeroed = crate::mem::KHEAP_BASE + 5 * PAGE_SIZE;
+        vm.mem.write_uint(zeroed, 8, 5, Mode::Kernel).unwrap();
+        vm.mem.write_uint(zeroed, 8, 0, Mode::Kernel).unwrap();
+        vm.mem
+            .write_uint(zeroed + PAGE_SIZE, 8, 6, Mode::Kernel)
+            .unwrap();
+        let kernel = vm.mem.kernel_bytes();
+        let (mut touched, mut full) = (W::default(), W::default());
+        touched.sparse(kernel, vm.mem.touched_kernel_pages());
+        full.sparse(kernel, 0..kernel.len() / PAGE_SIZE as usize);
+        assert_eq!(touched.buf, full.buf);
     }
 
     #[test]

@@ -1146,3 +1146,65 @@ fn singleton_elision_preserves_safe_kernel_behavior() {
     );
     assert_eq!(s_on.page_hits + s_off.page_hits, 0);
 }
+
+/// Stores one 8-byte word straddling each of `%n` page boundaries, three
+/// pages apart, from `%base` (a kernel address 4 bytes below a page end):
+/// every word is nonzero in all eight bytes, so both pages it covers end
+/// up nonzero.
+const SCATTER: &str = r#"
+module "m"
+func public @scatter(%base: i64, %n: i64) : i64 {
+entry:
+  br loop
+loop:
+  %i:i64 = phi i64 [entry: 0:i64, body: %i2]
+  %done:i1 = icmp uge %i, %n
+  condbr %done, out, body
+body:
+  %off:i64 = mul %i, 12288:i64
+  %a:i64 = add %base, %off
+  %p:i64* = cast inttoptr %a to i64*
+  %i2:i64 = add %i, 1:i64
+  %v:i64 = mul %i2, 72340172838076673:i64
+  store %v, %p
+  br loop
+out:
+  ret %n
+}
+"#;
+
+fn scattered_vm() -> Vm {
+    let mut vm = vm_for(SCATTER, KernelKind::SvaLlvm);
+    let base = crate::mem::KHEAP_BASE + crate::mem::PAGE_SIZE - 4;
+    assert_eq!(
+        vm.call("scatter", &[base, 40]).unwrap(),
+        VmExit::Returned(40)
+    );
+    vm
+}
+
+#[test]
+fn fork_copies_every_written_kernel_page() {
+    let vm = scattered_vm();
+    for cpu in [1, 3] {
+        let fork = vm.fork_for_cpu(cpu);
+        assert!(
+            fork.mem.kernel_bytes() == vm.mem.kernel_bytes(),
+            "fork for cpu {cpu} lost kernel bytes"
+        );
+    }
+}
+
+#[test]
+fn snapshot_restore_snapshot_is_byte_identical() {
+    let vm = scattered_vm();
+    let img = vm.snapshot();
+    let mut fresh = vm_for(SCATTER, KernelKind::SvaLlvm);
+    fresh.restore(&img).unwrap();
+    // Capture saw every written page...
+    assert!(fresh.mem.kernel_bytes() == vm.mem.kernel_bytes());
+    // ...and restore marked every page it wrote, so a second capture (and
+    // a fork of the restored machine) sees them too.
+    assert_eq!(fresh.snapshot(), img);
+    assert!(fresh.fork_for_cpu(1).mem.kernel_bytes() == vm.mem.kernel_bytes());
+}

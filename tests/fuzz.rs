@@ -2,7 +2,12 @@
 //! snapshot-migration layer must never panic the host, no matter what
 //! bytes they are fed. Structured errors are fine — `unwrap`-style
 //! crashes are not (proptest turns any panic into a test failure and
-//! shrinks the input).
+//! shrinks the input). Nor may they over-allocate: every case runs under
+//! a fixed heap cap (see `capped`), so a count that slips past a decoder
+//! guard fails deterministically instead of exhausting the host.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use proptest::prelude::*;
 
@@ -13,6 +18,118 @@ use sva::ir::{Linkage, Module, Operand};
 use sva::vm::{
     migrate_bundle, plan, reencode_at, CrashBundle, CrashReason, KernelKind, Vm, VmConfig, VmError,
 };
+
+// --- allocation cap ---------------------------------------------------------
+
+/// Most heap one case may hold live at once. A case builds machines that
+/// each calloc a 32 MiB kernel region (and every restore swaps in another),
+/// so a legitimate case peaks at about 65 MiB; a runaway count asks for
+/// far more.
+const CASE_ALLOC_CAP: isize = 256 << 20;
+
+/// Heap use of the case running on this thread.
+#[derive(Clone, Copy)]
+struct CaseHeap {
+    armed: bool,
+    /// Bytes allocated minus bytes freed since the case started.
+    live: isize,
+    peak: isize,
+    /// An allocation was refused for crossing the cap.
+    refused: bool,
+}
+
+thread_local! {
+    static CASE_HEAP: Cell<CaseHeap> = const {
+        Cell::new(CaseHeap { armed: false, live: 0, peak: 0, refused: false })
+    };
+}
+
+/// The system allocator with per-thread accounting while a case is armed
+/// (tests run on parallel threads, so the count is per thread). A request
+/// that would lift the case's live bytes past [`CASE_ALLOC_CAP`] is
+/// refused: the host never sees it, and the case fails on any machine.
+struct CappedAlloc;
+
+impl CappedAlloc {
+    /// Accounts `delta` bytes; `false` refuses the allocation.
+    fn charge(delta: isize) -> bool {
+        CASE_HEAP
+            .try_with(|c| {
+                let mut h = c.get();
+                if !h.armed {
+                    return true;
+                }
+                if delta > 0 && h.live + delta > CASE_ALLOC_CAP {
+                    h.refused = true;
+                    c.set(h);
+                    return false;
+                }
+                h.live += delta;
+                h.peak = h.peak.max(h.live);
+                c.set(h);
+                true
+            })
+            .unwrap_or(true)
+    }
+}
+
+// SAFETY: every method passes its arguments unchanged to `System` or
+// returns null, which `GlobalAlloc` allows as an allocation failure. The
+// accounting only reads and writes a const-initialized thread-local
+// `Cell`, which never allocates and never unwinds.
+unsafe impl GlobalAlloc for CappedAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if !Self::charge(layout.size() as isize) {
+            return std::ptr::null_mut();
+        }
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if !Self::charge(layout.size() as isize) {
+            return std::ptr::null_mut();
+        }
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::charge(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if !Self::charge(new_size as isize - layout.size() as isize) {
+            return std::ptr::null_mut();
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CappedAlloc = CappedAlloc;
+
+/// Runs one fuzz case under the heap cap and fails it if any of its
+/// allocations was refused. A refused request usually ends the process at
+/// once (`handle_alloc_error` aborts); fallible reserves survive it and
+/// fail here instead.
+fn capped(case: impl FnOnce()) {
+    let idle = CaseHeap {
+        armed: false,
+        live: 0,
+        peak: 0,
+        refused: false,
+    };
+    CASE_HEAP.with(|c| {
+        c.set(CaseHeap {
+            armed: true,
+            ..idle
+        })
+    });
+    case();
+    let h = CASE_HEAP.with(|c| c.replace(idle));
+    assert!(
+        !h.refused,
+        "case asked for more than {CASE_ALLOC_CAP} live heap bytes (peak {} before that)",
+        h.peak
+    );
+}
 
 /// Decode → verify → load → run, swallowing every structured error. The
 /// verifier gates execution exactly like the production loader does
@@ -130,7 +247,7 @@ proptest! {
 
     #[test]
     fn decoder_and_vm_survive_random_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        exercise(&bytes);
+        capped(|| exercise(&bytes));
     }
 
     #[test]
@@ -149,7 +266,7 @@ proptest! {
             let keep = 8 + k as usize % (bytes.len() - 8);
             bytes.truncate(keep);
         }
-        exercise(&bytes);
+        capped(|| exercise(&bytes));
     }
 }
 
@@ -205,7 +322,7 @@ proptest! {
         cut in any::<bool>(),
         k in any::<u64>(),
     ) {
-        check_mutated_snapshot(opt, version, &flips, cut, k);
+        capped(|| check_mutated_snapshot(opt, version, &flips, cut, k));
     }
 
     #[test]
@@ -216,6 +333,6 @@ proptest! {
         cut in any::<bool>(),
         k in any::<u64>(),
     ) {
-        check_mutated_bundle(opt, version, &flips, cut, k);
+        capped(|| check_mutated_bundle(opt, version, &flips, cut, k));
     }
 }
