@@ -4,7 +4,7 @@
 //! splay lookups" optimization discussion.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sva_kernel::harness::{boot_user, make_vm_cfg, USER_HEAP_BASE};
+use sva_kernel::harness::{boot_user, boot_user_paused, make_vm_cfg, pack_arg, USER_HEAP_BASE};
 use sva_rt::{MetaPool, SplayTree};
 use sva_trace::{
     EventClass, FlightRecorder, LookupLayer, NullTracer, RingTracer, TraceEvent, Tracer,
@@ -302,12 +302,82 @@ fn fused_checked_load(c: &mut Criterion) {
     g.finish();
 }
 
+/// Host ns per guest instruction of one fixed checked transfer under
+/// each kernel configuration (opt 2, the hostbench setting), and the
+/// host cost of one run-time check derived from them: (sva-safe −
+/// sva-llvm run time) / sva-safe checks. Each round runs the four
+/// kernels back to back on fresh machines, timing only the post-boot
+/// run and keeping each kernel's fastest of `TRIES` runs (the transfer
+/// is deterministic, so the fastest run is the one the host disturbed
+/// least), so machine-speed drift hits every kernel alike; the ids
+/// report medians over the rounds. Context for the interpreter work of
+/// DESIGN.md §4.4, not gated.
+fn interp(_c: &mut Criterion) {
+    const ROUNDS: usize = 9;
+    const TRIES: usize = 3;
+    let job = ("user_fileread_bw", pack_arg(2, 16 << 10, 0));
+    let run = |kind: KernelKind| {
+        let mut vm = make_vm_cfg(VmConfig {
+            kind,
+            opt_level: 2,
+            ..Default::default()
+        });
+        assert!(matches!(boot_user_paused(&mut vm, job.0, job.1), Ok(None)));
+        let (insts, checks) = (
+            vm.stats().instructions,
+            vm.pools.total_stats().total_checks(),
+        );
+        let t = std::time::Instant::now();
+        criterion::black_box(vm.run()).expect("transfer runs");
+        let ns = t.elapsed().as_nanos() as f64;
+        (
+            ns,
+            vm.stats().instructions - insts,
+            vm.pools.total_stats().total_checks() - checks,
+        )
+    };
+    let mut per_inst: [Vec<f64>; 4] = Default::default();
+    let mut check_ns = Vec::with_capacity(ROUNDS);
+    let mut insts = [0u64; 4];
+    for round in 0..=ROUNDS {
+        let mut ns = [0.0; 4];
+        let mut safe_checks = 0;
+        for (i, kind) in KernelKind::ALL.into_iter().enumerate() {
+            let (t, n, checks) = (0..TRIES)
+                .map(|_| run(kind))
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("TRIES > 0");
+            (ns[i], insts[i]) = (t, n);
+            if kind.checks() {
+                safe_checks = checks;
+            }
+        }
+        // Round 0 warms caches and the module cache; it is not recorded.
+        if round == 0 {
+            continue;
+        }
+        for i in 0..4 {
+            per_inst[i].push(ns[i] / insts[i].max(1) as f64);
+        }
+        check_ns.push((ns[3] - ns[2]) / safe_checks.max(1) as f64);
+    }
+    for (i, kind) in KernelKind::ALL.into_iter().enumerate() {
+        emit_result(
+            &format!("vm/interp/{}", kind.label()),
+            &mut per_inst[i],
+            insts[i],
+        );
+    }
+    emit_result("vm/interp/check_ns", &mut check_ns, 1);
+}
+
 criterion_group!(
     benches,
     splay,
     fastpath,
     singleton,
     flight,
-    fused_checked_load
+    fused_checked_load,
+    interp
 );
 criterion_main!(benches);

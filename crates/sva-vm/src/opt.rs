@@ -36,8 +36,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use sva_ir::Intrinsic;
-
 use crate::vm::{FlatCallee, FlatFunc, FlatOp, Src};
 
 /// The set of functions the optimizing tier should fuse, exported from a
@@ -178,7 +176,7 @@ fn count_reg_uses(ops: &[FlatOp]) -> HashMap<u32, u32> {
             }
             FlatOp::Alloca { count, .. } => add(count),
             FlatOp::Call { callee, args, .. } => {
-                if let crate::vm::FlatCallee::Indirect(s) = callee {
+                if let FlatCallee::Indirect(s) = callee {
                     add(s);
                 }
                 for a in args {
@@ -207,6 +205,20 @@ fn count_reg_uses(ops: &[FlatOp]) -> HashMap<u32, u32> {
                 if let Some(s) = val {
                     add(s);
                 }
+            }
+            FlatOp::BoundsCheck { src, derived, .. } => {
+                add(src);
+                add(derived);
+            }
+            FlatOp::LsCheck { addr, .. } => add(addr),
+            FlatOp::RangeCheck {
+                start,
+                derived,
+                end,
+            } => {
+                add(start);
+                add(derived);
+                add(end);
             }
             FlatOp::Mov { src, .. } => add(src),
             FlatOp::FusedGepLoad { base, dynamic, .. } => {
@@ -299,7 +311,7 @@ pub(crate) fn fuse_flat(ff: &mut FlatFunc) -> u32 {
         // Triple: gep + inserted pool check + load (checked kernels).
         // The address register has exactly *two* reads — the check
         // operand and the load pointer — so the pairwise single-use rule
-        // stops at the check call; swallowing all three ops at once is
+        // stops at the check op; swallowing all three ops at once is
         // what makes the fused-GEP win reach sva-safe.
         if p + 2 < n && !block_start[p + 2] {
             let triple = match (&ff.ops[p], &ff.ops[p + 1], &ff.ops[p + 2]) {
@@ -310,26 +322,23 @@ pub(crate) fn fuse_flat(ff: &mut FlatFunc) -> u32 {
                         const_off,
                         dynamic,
                     },
-                    FlatOp::Call {
-                        dst: None,
-                        callee: FlatCallee::Intrinsic(intr),
-                        args,
-                    },
+                    chk,
                     FlatOp::Load {
                         dst: ld,
                         ptr: Src::Reg(lp),
                         w,
                     },
                 ) if *lp == *dst && uses.get(dst).copied().unwrap_or(0) == 2 => {
-                    let chk = match (intr, args.as_slice()) {
-                        (Intrinsic::LsCheck, [Src::Imm(mp), Src::Reg(a)]) if *a == *dst => {
-                            Some((*mp as u32, None))
-                        }
-                        (Intrinsic::BoundsCheck, [Src::Imm(mp), src, Src::Reg(a)])
-                            if *a == *dst =>
-                        {
-                            Some((*mp as u32, Some(*src)))
-                        }
+                    let chk = match chk {
+                        FlatOp::LsCheck {
+                            mp,
+                            addr: Src::Reg(a),
+                        } if *a == *dst => Some((*mp, None)),
+                        FlatOp::BoundsCheck {
+                            mp,
+                            src,
+                            derived: Src::Reg(a),
+                        } if *a == *dst => Some((*mp, Some(*src))),
                         _ => None,
                     };
                     chk.map(|(mp, chk_src)| FlatOp::FusedGepChkLoad {
@@ -616,10 +625,9 @@ mod tests {
                 const_off: 8,
                 dynamic: vec![],
             },
-            FlatOp::Call {
-                dst: None,
-                callee: FlatCallee::Intrinsic(Intrinsic::LsCheck),
-                args: vec![Src::Imm(3), Src::Reg(0)],
+            FlatOp::LsCheck {
+                mp: 3,
+                addr: Src::Reg(0),
             },
             FlatOp::Load {
                 dst: 1,
@@ -656,10 +664,10 @@ mod tests {
                 const_off: 16,
                 dynamic: vec![],
             },
-            FlatOp::Call {
-                dst: None,
-                callee: FlatCallee::Intrinsic(Intrinsic::BoundsCheck),
-                args: vec![Src::Imm(2), Src::Reg(0), Src::Reg(1)],
+            FlatOp::BoundsCheck {
+                mp: 2,
+                src: Src::Reg(0),
+                derived: Src::Reg(1),
             },
             FlatOp::Load {
                 dst: 2,
@@ -692,10 +700,9 @@ mod tests {
                 const_off: 0,
                 dynamic: vec![],
             },
-            FlatOp::Call {
-                dst: None,
-                callee: FlatCallee::Intrinsic(Intrinsic::LsCheck),
-                args: vec![Src::Imm(0), Src::Reg(0)],
+            FlatOp::LsCheck {
+                mp: 0,
+                addr: Src::Reg(0),
             },
             FlatOp::Load {
                 dst: 1,

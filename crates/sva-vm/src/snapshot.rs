@@ -1268,7 +1268,7 @@ impl<T: Tracer> Vm<T> {
             w.u64(word);
         }
         // Run-control and fault-injection state.
-        w.u64(self.fuel);
+        w.u64(self.fuel + self.fuel_reserve);
         match self.halted {
             Some(c) => {
                 w.bool(true);
@@ -1419,6 +1419,7 @@ impl<T: Tracer> Vm<T> {
         self.trap_count = p.trap_count;
         self.cpu_id = p.cpu_id;
         self.argv_scratch.clear();
+        self.refresh_attention();
         if T::ENABLED {
             let cycles = self.stats.cycles;
             self.tracer.on_restore(cycles);

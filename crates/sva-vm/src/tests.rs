@@ -941,6 +941,35 @@ entry:
     assert_eq!(vm.stats().interrupts, 3);
 }
 
+#[test]
+fn host_events_set_the_attention_flag() {
+    // While the flag is clear the run loop skips every rare boundary
+    // test (DESIGN.md §4.4), so each host event that arms one must set
+    // it, and a restored image carries its conditions with it.
+    let src = r#"
+module "m"
+func public @f() : i64 {
+entry:
+  ret 7:i64
+}
+"#;
+    let mut vm = vm_for(src, KernelKind::SvaLlvm);
+    assert_eq!(vm.call("f", &[]).unwrap(), VmExit::Returned(7));
+    assert!(!vm.attention, "a quiet machine must run the lean path");
+    vm.raise_interrupt(0);
+    assert!(vm.attention, "raise_interrupt");
+    let image = vm.snapshot();
+
+    let mut vm = vm_for(src, KernelKind::SvaLlvm);
+    vm.request_snapshot_at(5);
+    assert!(vm.attention, "request_snapshot_at");
+
+    let mut vm = vm_for(src, KernelKind::SvaLlvm);
+    assert!(!vm.attention);
+    vm.restore(&image).unwrap();
+    assert!(vm.attention, "restore of an image with a pending IRQ");
+}
+
 // ---------------------------------------------------------------------------
 // Optimizing tier (DESIGN.md §4.4): fusion + singleton elision.
 // ---------------------------------------------------------------------------

@@ -422,6 +422,30 @@ pub(crate) enum FlatOp {
         val: Option<Src>,
     },
     Unreachable,
+    // ---- run-time checks (DESIGN.md §4.4) ----
+    //
+    // The translator turns each `pchk.bounds` / `pchk.lscheck` call with
+    // a constant pool id, and each `pchk.bounds.range` call, into its own
+    // op, so a check skips the argument vector, the privilege test and
+    // the intrinsic `match`. Charge, lookup, trace events and failure are
+    // those of the intrinsic path (`Vm::check_pool`, `Vm::check_range`).
+    /// `pchk.bounds(mp, src, derived)`.
+    BoundsCheck {
+        mp: u32,
+        src: Src,
+        derived: Src,
+    },
+    /// `pchk.lscheck(mp, addr)`.
+    LsCheck {
+        mp: u32,
+        addr: Src,
+    },
+    /// `pchk.bounds.range(start, derived, end)`.
+    RangeCheck {
+        start: Src,
+        derived: Src,
+        end: Src,
+    },
     // ---- optimizing-tier ops (DESIGN.md §4.4) ----
     //
     // The fusion pass rewrites an adjacent pair in place: the first op of
@@ -444,7 +468,7 @@ pub(crate) enum FlatOp {
         dynamic: Vec<(Src, u64, u8)>,
         w: u8,
     },
-    /// `gep` + inserted pool check (`pchk.bounds` / `pchk.ls`) + `load`:
+    /// `gep` + inserted pool check (`pchk.bounds` / `pchk.lscheck`) + `load`:
     /// the checked-kernel triple. The address register has exactly two
     /// reads — the check operand and the load pointer — both swallowed
     /// here, which is why the pairwise single-use rule alone could never
@@ -460,7 +484,7 @@ pub(crate) enum FlatOp {
         /// Metapool the swallowed check targets.
         mp: u32,
         /// `Some(src)` = `pchk.bounds(mp, src, addr)`; `None` =
-        /// `pchk.ls(mp, addr)`.
+        /// `pchk.lscheck(mp, addr)`.
         chk_src: Option<Src>,
     },
     /// `gep` + `store` through the (otherwise dead) address register.
@@ -524,6 +548,9 @@ impl FlatOp {
             FlatOp::Switch { .. } => "switch",
             FlatOp::Ret { .. } => "ret",
             FlatOp::Unreachable => "unreachable",
+            FlatOp::BoundsCheck { .. } => Intrinsic::BoundsCheck.name(),
+            FlatOp::LsCheck { .. } => Intrinsic::LsCheck.name(),
+            FlatOp::RangeCheck { .. } => Intrinsic::BoundsCheckRange.name(),
             FlatOp::Nop => "nop",
             FlatOp::Mov { .. } => "mov",
             FlatOp::FusedGepLoad { .. } => "gep+load",
@@ -842,6 +869,12 @@ pub struct Vm<T: Tracer = NullTracer> {
     pub console: Vec<u8>,
     pub(crate) stats: VmStats,
     pub(crate) fuel: u64,
+    /// Fuel a [`Vm::run_steps`] slice holds back while it runs on a
+    /// narrowed tank (0 outside a slice). A snapshot taken inside the
+    /// slice records `fuel + fuel_reserve`, the fuel an uninterrupted run
+    /// has at that boundary; an empty tank with fuel in reserve is a
+    /// slice end, not exhaustion.
+    pub(crate) fuel_reserve: u64,
     pub(crate) halted: Option<u64>,
     pub(crate) pending_irq: std::collections::VecDeque<i64>,
     /// Stack of registered violation-recovery domains, innermost last.
@@ -881,6 +914,13 @@ pub struct Vm<T: Tracer = NullTracer> {
     /// the interpreter loop at the safe point and may block — that is how
     /// `SmpMachine::quiesce` parks every vCPU at its boundary.
     pub(crate) snap_sink: Option<std::sync::Arc<dyn Fn(Vec<u8>) + Send + Sync>>,
+    /// Run-loop attention flag (DESIGN.md §4.4): set whenever a rare
+    /// boundary condition may hold — a halt, an armed snapshot latch, a
+    /// registered recovery domain, a deferred probe or skew, a pending
+    /// IRQ. While it is clear the loop skips every one of those tests.
+    /// Derived from those fields by [`Vm::refresh_attention`], never
+    /// serialized.
+    pub(crate) attention: bool,
     pub(crate) tracer: T,
 }
 
@@ -1081,6 +1121,7 @@ impl<T: Tracer> Vm<T> {
             console: Vec::new(),
             stats: VmStats::default(),
             fuel,
+            fuel_reserve: 0,
             halted: None,
             pending_irq: std::collections::VecDeque::new(),
             recovery: Vec::new(),
@@ -1096,6 +1137,7 @@ impl<T: Tracer> Vm<T> {
             snap_request: None,
             snap_pending: None,
             snap_sink: None,
+            attention: false,
             tracer,
         };
         if T::ENABLED {
@@ -1198,7 +1240,7 @@ impl<T: Tracer> Vm<T> {
         let lane = (KSTACK_END - KSTACK_BASE) / lanes;
         let mut thread = self.thread.clone();
         thread.ksp += u64::from(cpu_id).min(lanes - 1) * lane;
-        Vm {
+        let mut vm = Vm {
             mem: self.mem.clone(),
             code: Arc::clone(&self.code),
             cfg: self.cfg.clone(),
@@ -1212,6 +1254,7 @@ impl<T: Tracer> Vm<T> {
             console: Vec::new(),
             stats: VmStats::default(),
             fuel: self.cfg.fuel,
+            fuel_reserve: 0,
             halted: None,
             pending_irq: std::collections::VecDeque::new(),
             recovery: self.recovery.clone(),
@@ -1227,8 +1270,11 @@ impl<T: Tracer> Vm<T> {
             snap_request: None,
             snap_pending: None,
             snap_sink: None,
+            attention: false,
             tracer,
-        }
+        };
+        vm.refresh_attention();
+        vm
     }
 
     /// Console output as a lossy string.
@@ -1244,6 +1290,21 @@ impl<T: Tracer> Vm<T> {
     /// (paper §3.3).
     pub fn raise_interrupt(&mut self, vector: i64) {
         self.pending_irq.push_back(vector);
+        self.attention = true;
+    }
+
+    /// Recomputes the run-loop attention flag from the rare boundary
+    /// conditions it summarizes. Every event that can make one of them
+    /// hold calls this (or sets the flag) before the next boundary, so a
+    /// clear flag proves the loop may skip them all; a stale set flag
+    /// costs one slow-path iteration, which recomputes it.
+    pub(crate) fn refresh_attention(&mut self) {
+        self.attention = self.halted.is_some()
+            || self.snap_request.is_some()
+            || !self.recovery.is_empty()
+            || self.pending_probe.is_some()
+            || self.pending_skew.is_some()
+            || !self.pending_irq.is_empty();
     }
 
     /// Function names of the current frame stack, innermost last
@@ -1294,6 +1355,7 @@ impl<T: Tracer> Vm<T> {
         self.pending_skew = None;
         self.gep_skew = None;
         self.cfg.fault_hook = None;
+        self.refresh_attention();
     }
 
     /// Attaches (or replaces) the fault hook. Snapshot-forked campaigns
@@ -1303,6 +1365,7 @@ impl<T: Tracer> Vm<T> {
     /// an image.
     pub fn arm_faults(&mut self, hook: Arc<dyn FaultHook>) {
         self.cfg.fault_hook = Some(hook);
+        self.refresh_attention();
     }
 
     /// Calls a public function in kernel mode and runs to completion —
@@ -1438,30 +1501,25 @@ impl<T: Tracer> Vm<T> {
     /// Runs at most `max` instruction-boundary iterations, returning
     /// `Ok(None)` if the budget ran out with the machine still live (state
     /// intact at the boundary — exactly what [`VmError::OutOfFuel`]
-    /// guarantees). Implemented by temporarily narrowing the fuel tank, so
-    /// the fuel value an interrupted machine carries equals the value an
-    /// uninterrupted run would have at the same boundary — which is what
+    /// guarantees). Implemented by temporarily narrowing the fuel tank
+    /// (the rest waits in a reserve), so the fuel value an interrupted
+    /// machine carries, and the value any image taken inside the slice
+    /// records, equals the value an uninterrupted run would have at the
+    /// same boundary — which is what
     /// lets snapshot tests cut a run at an arbitrary step and still compare
     /// byte-identical images.
     pub fn run_steps(&mut self, max: u64) -> Result<Option<VmExit>, VmError> {
         if max >= self.fuel {
             return self.run().map(Some);
         }
-        let rest = self.fuel - max;
+        self.fuel_reserve = self.fuel - max;
         self.fuel = max;
-        match self.run() {
-            Ok(exit) => {
-                self.fuel += rest;
-                Ok(Some(exit))
-            }
-            Err(VmError::OutOfFuel) => {
-                self.fuel = rest;
-                Ok(None)
-            }
-            Err(e) => {
-                self.fuel += rest;
-                Err(e)
-            }
+        let r = self.run();
+        self.fuel += std::mem::take(&mut self.fuel_reserve);
+        match r {
+            Ok(exit) => Ok(Some(exit)),
+            Err(VmError::OutOfFuel) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
@@ -1481,6 +1539,7 @@ impl<T: Tracer> Vm<T> {
     /// the exact loop position the fuel tank is.
     pub fn request_snapshot_at(&mut self, boundary: u64) {
         self.snap_request = Some(boundary);
+        self.attention = true;
     }
 
     /// Attaches a delivery sink for latched snapshots. The callback runs
@@ -1510,128 +1569,147 @@ impl<T: Tracer> Vm<T> {
     /// The interpreter loop. With `pause_on_user` the loop returns
     /// `Ok(None)` at the first iteration that would execute a user-mode
     /// instruction, *before* charging fuel or stats for it.
+    ///
+    /// Each boundary takes one of two paths (DESIGN.md §4.4). While the
+    /// attention flag is clear, the lean path only tests for an empty
+    /// frame stack, charges fuel and counters and steps. While it is set,
+    /// or `pause_on_user` needs the mode test, the slow path also handles
+    /// the rare conditions: halt, pause, snapshot latch, domain watchdog,
+    /// deferred probe and skew, IRQ delivery.
     fn run_inner(&mut self, pause_on_user: bool) -> Result<Option<VmExit>, VmError> {
         let code = self.code.clone();
+        let flat = self.cfg.kind.flat();
+        // Host calls between runs (restore, fault arming, ...) may have
+        // armed any of the rare conditions.
+        self.refresh_attention();
         loop {
-            if let Some(c) = self.halted {
-                // Capture *before* clearing `halted`: the bundle's
-                // embedded snapshot then re-halts with the identical code
-                // the moment a replay runs it.
-                if c != 0 && self.crash.enabled {
-                    self.capture_crash(
-                        crate::bundle::CrashReason::Halt,
-                        c,
-                        format!("sva.abort({c})"),
-                    );
-                }
-                self.halted = None;
-                return Ok(Some(VmExit::Halted(c)));
-            }
-            if self.thread.frames.is_empty() {
-                return Ok(Some(VmExit::Returned(0)));
-            }
-            if pause_on_user && self.mode() == Mode::User {
-                return Ok(None);
-            }
-            // Safe-point snapshot latch (DESIGN.md §4.10). Checked at the
-            // exact loop position the fuel tank is, so an image latched at
-            // boundary k is byte-identical to `run_steps(k)` followed by
-            // `snapshot_midflight()`. The capture charges no guest fuel,
-            // cycles or stats: execution continues as if nothing happened.
-            if let Some(n) = self.snap_request {
-                if n == 0 {
-                    self.snap_request = None;
-                    let img = self.snapshot_with_origin(crate::snapshot::ORIGIN_MIDFLIGHT);
-                    match &self.snap_sink {
-                        Some(sink) => sink(img),
-                        None => self.snap_pending = Some(img),
+            let slow = pause_on_user || self.attention;
+            if slow {
+                // Clears the flag once the conditions are gone; events
+                // during this iteration set it again.
+                self.refresh_attention();
+                if let Some(c) = self.halted {
+                    // Capture *before* clearing `halted`: the bundle's
+                    // embedded snapshot then re-halts with the identical
+                    // code the moment a replay runs it.
+                    if c != 0 && self.crash.enabled {
+                        self.capture_crash(
+                            crate::bundle::CrashReason::Halt,
+                            c,
+                            format!("sva.abort({c})"),
+                        );
                     }
-                } else {
-                    self.snap_request = Some(n - 1);
+                    self.halted = None;
+                    return Ok(Some(VmExit::Halted(c)));
                 }
-            }
-            if self.fuel == 0 {
-                // Only terminal under an armed fault hook: fuel running
-                // out in a campaign is a wedged machine, fuel running out
-                // in a `run_steps` slice is an ordinary pause.
-                if self.crash.enabled && self.cfg.fault_hook.is_some() {
-                    self.capture_crash(
-                        crate::bundle::CrashReason::FuelExhausted,
-                        0,
-                        "instruction fuel exhausted under fault injection".to_string(),
-                    );
+                if self.thread.frames.is_empty() {
+                    return Ok(Some(VmExit::Returned(0)));
                 }
-                return Err(VmError::OutOfFuel);
-            }
-            self.fuel -= 1;
-            // Domain watchdog (DESIGN.md §4.5): kernel-mode execution
-            // ticks the innermost recovery domain's fuel; at zero the
-            // domain is wedged and force-unwound so recovery itself can
-            // never hang the machine. With no domain registered (or the
-            // default infinite `domain_fuel`) this never fires and charges
-            // nothing.
-            if !self.recovery.is_empty() && self.mode() == Mode::Kernel {
-                if let Some(rc) = self.recovery.last_mut() {
-                    if rc.fuel == 0 {
-                        self.watchdog_unwind()?;
-                        continue;
-                    }
-                    rc.fuel -= 1;
+                if pause_on_user && self.mode() == Mode::User {
+                    return Ok(None);
                 }
-            }
-            // Deferred fault probe: counts down per kernel-mode
-            // instruction and then models the stale dereference, taking
-            // the same containment path as an in-step violation.
-            if self.pending_probe.is_some() && self.mode() == Mode::Kernel {
-                let (cnt, pool, addr) = self.pending_probe.unwrap();
-                if cnt > 1 {
-                    self.pending_probe = Some((cnt - 1, pool, addr));
-                } else {
-                    self.pending_probe = None;
-                    self.stats.cycles += CHECK_CYCLES;
-                    let r = self
-                        .pools
-                        .pool_get_mut(sva_rt::MetaPoolId(pool))
-                        .map(|p| p.ls_check(addr))
-                        .unwrap_or(Ok(()));
-                    if let Err(e) = r {
-                        if T::wants(EventClass::Violation) {
-                            let ts = self.stats.cycles;
-                            self.tracer.record(
-                                ts,
-                                TraceEvent::Violation {
-                                    check: e.kind.to_string(),
-                                    pool: e.pool.clone(),
-                                    addr: e.addr,
-                                    detail: e.detail.clone(),
-                                },
-                            );
+                // Safe-point snapshot latch (DESIGN.md §4.10). Checked at
+                // the exact loop position the fuel tank is, so an image
+                // latched at boundary k is byte-identical to
+                // `run_steps(k)` followed by `snapshot_midflight()`. The
+                // capture charges no guest fuel, cycles or stats:
+                // execution continues as if nothing happened.
+                if let Some(n) = self.snap_request {
+                    if n == 0 {
+                        self.snap_request = None;
+                        let img = self.snapshot_with_origin(crate::snapshot::ORIGIN_MIDFLIGHT);
+                        match &self.snap_sink {
+                            Some(sink) => sink(img),
+                            None => self.snap_pending = Some(img),
                         }
-                        if !self.recovery.is_empty() {
-                            self.recover_from(&e)?;
+                    } else {
+                        self.snap_request = Some(n - 1);
+                    }
+                }
+                if self.fuel == 0 {
+                    return Err(self.out_of_fuel());
+                }
+                self.fuel -= 1;
+                // Domain watchdog (DESIGN.md §4.5): kernel-mode execution
+                // ticks the innermost recovery domain's fuel; at zero the
+                // domain is wedged and force-unwound so recovery itself
+                // can never hang the machine. With no domain registered
+                // (or the default infinite `domain_fuel`) this never
+                // fires and charges nothing.
+                if !self.recovery.is_empty() && self.mode() == Mode::Kernel {
+                    if let Some(rc) = self.recovery.last_mut() {
+                        if rc.fuel == 0 {
+                            self.watchdog_unwind()?;
                             continue;
                         }
-                        if self.crash.enabled {
-                            let d = format!(
-                                "{} pool={} addr={:#x} {}",
-                                e.kind, e.pool, e.addr, e.detail
-                            );
-                            self.capture_crash(crate::bundle::CrashReason::SafetyEscape, 0, d);
-                        }
-                        return Err(VmError::Safety(e));
+                        rc.fuel -= 1;
                     }
                 }
-            }
-            // Deferred GEP skew: arms the live skew after the countdown so
-            // the skewed derivations happen inside the handler body.
-            if self.pending_skew.is_some() && self.mode() == Mode::Kernel {
-                let (cnt, count, delta) = self.pending_skew.unwrap();
-                if cnt > 1 {
-                    self.pending_skew = Some((cnt - 1, count, delta));
-                } else {
-                    self.pending_skew = None;
-                    self.gep_skew = Some((count, delta));
+                // Deferred fault probe: counts down per kernel-mode
+                // instruction and then models the stale dereference,
+                // taking the same containment path as an in-step
+                // violation.
+                if self.pending_probe.is_some() && self.mode() == Mode::Kernel {
+                    let (cnt, pool, addr) = self.pending_probe.unwrap();
+                    if cnt > 1 {
+                        self.pending_probe = Some((cnt - 1, pool, addr));
+                    } else {
+                        self.pending_probe = None;
+                        self.stats.cycles += CHECK_CYCLES;
+                        let r = self
+                            .pools
+                            .pool_get_mut(sva_rt::MetaPoolId(pool))
+                            .map(|p| p.ls_check(addr))
+                            .unwrap_or(Ok(()));
+                        if let Err(e) = r {
+                            if T::wants(EventClass::Violation) {
+                                let ts = self.stats.cycles;
+                                self.tracer.record(
+                                    ts,
+                                    TraceEvent::Violation {
+                                        check: e.kind.to_string(),
+                                        pool: e.pool.clone(),
+                                        addr: e.addr,
+                                        detail: e.detail.clone(),
+                                    },
+                                );
+                            }
+                            if !self.recovery.is_empty() {
+                                self.recover_from(&e)?;
+                                continue;
+                            }
+                            if self.crash.enabled {
+                                let d = format!(
+                                    "{} pool={} addr={:#x} {}",
+                                    e.kind, e.pool, e.addr, e.detail
+                                );
+                                self.capture_crash(crate::bundle::CrashReason::SafetyEscape, 0, d);
+                            }
+                            return Err(VmError::Safety(e));
+                        }
+                    }
                 }
+                // Deferred GEP skew: arms the live skew after the
+                // countdown so the skewed derivations happen inside the
+                // handler body.
+                if self.pending_skew.is_some() && self.mode() == Mode::Kernel {
+                    let (cnt, count, delta) = self.pending_skew.unwrap();
+                    if cnt > 1 {
+                        self.pending_skew = Some((cnt - 1, count, delta));
+                    } else {
+                        self.pending_skew = None;
+                        self.gep_skew = Some((count, delta));
+                    }
+                }
+            } else {
+                // Lean path: the clear flag proves no rare condition holds.
+                if self.thread.frames.is_empty() {
+                    return Ok(Some(VmExit::Returned(0)));
+                }
+                if self.fuel == 0 {
+                    return Err(self.out_of_fuel());
+                }
+                self.fuel -= 1;
             }
             // Snapshot the cycle counter before this iteration charges
             // anything: the post-step delta is the cycles attributed to the
@@ -1646,7 +1724,7 @@ impl<T: Tracer> Vm<T> {
             };
             self.stats.instructions += 1;
             self.stats.cycles += 1;
-            if !self.pending_irq.is_empty() && self.mode() == Mode::User {
+            if slow && !self.pending_irq.is_empty() && self.mode() == Mode::User {
                 let vector = self.deliver_interrupt()?;
                 if T::wants(EventClass::Irq) {
                     let ts = self.stats.cycles;
@@ -1672,7 +1750,7 @@ impl<T: Tracer> Vm<T> {
             } else {
                 (0, "")
             };
-            let step = if self.cfg.kind.flat() {
+            let step = if flat {
                 self.step_flat(&code)
             } else {
                 self.step_tree(&code)
@@ -1702,18 +1780,20 @@ impl<T: Tracer> Vm<T> {
                     );
                 }
             }
-            // Violation recovery (DESIGN.md §4.3/§4.5): a kernel-mode
-            // safety violation with a registered recovery domain is
-            // absorbed — the offending pool is quarantined within the
-            // innermost domain's scope and the thread unwinds to that
-            // domain's snapshot instead of the error escaping `run`. With
-            // no domain registered this arm never fires and the machine is
-            // exactly the pre-recovery machine.
-            let step = match step {
+            match step {
+                Ok(StepOut::Continue) => {}
+                Ok(StepOut::Exit(e)) => return Ok(Some(e)),
+                // Violation recovery (DESIGN.md §4.3/§4.5): a kernel-mode
+                // safety violation with a registered recovery domain is
+                // absorbed — the offending pool is quarantined within the
+                // innermost domain's scope and the thread unwinds to that
+                // domain's snapshot instead of the error escaping `run`.
+                // With no domain registered this arm never fires and the
+                // machine is exactly the pre-recovery machine.
                 Err(VmError::Safety(e))
                     if !self.recovery.is_empty() && self.mode() == Mode::Kernel =>
                 {
-                    self.recover_from(&e)
+                    self.recover_from(&e)?;
                 }
                 Err(VmError::Safety(e)) => {
                     // A violation with nowhere to unwind to: the machine
@@ -1723,15 +1803,27 @@ impl<T: Tracer> Vm<T> {
                             format!("{} pool={} addr={:#x} {}", e.kind, e.pool, e.addr, e.detail);
                         self.capture_crash(crate::bundle::CrashReason::SafetyEscape, 0, d);
                     }
-                    Err(VmError::Safety(e))
+                    return Err(VmError::Safety(e));
                 }
-                other => other,
-            };
-            match step? {
-                StepOut::Continue => {}
-                StepOut::Exit(e) => return Ok(Some(e)),
+                Err(e) => return Err(e),
             }
         }
+    }
+
+    /// The fuel tank is empty at this boundary. Real exhaustion under an
+    /// armed fault hook is a wedged machine and captures a crash bundle;
+    /// the end of a [`Vm::run_steps`] slice (fuel still in reserve) is an
+    /// ordinary pause and captures nothing.
+    #[cold]
+    fn out_of_fuel(&mut self) -> VmError {
+        if self.fuel_reserve == 0 && self.crash.enabled && self.cfg.fault_hook.is_some() {
+            self.capture_crash(
+                crate::bundle::CrashReason::FuelExhausted,
+                0,
+                "instruction fuel exhausted under fault injection".to_string(),
+            );
+        }
+        VmError::OutOfFuel
     }
 
     /// Absorbs a kernel-mode safety violation: attributes it to a metapool
@@ -1739,7 +1831,7 @@ impl<T: Tracer> Vm<T> {
     /// past the scoped budget), then unwinds the thread to the innermost
     /// registered recovery domain with a packed resume code describing
     /// what happened.
-    fn recover_from(&mut self, e: &sva_rt::CheckError) -> Result<StepOut, VmError> {
+    fn recover_from(&mut self, e: &sva_rt::CheckError) -> Result<(), VmError> {
         // Function sets ("funcset{N}") and the static range carry pool
         // names that are not metapools; those violations unwind without a
         // quarantine target.
@@ -1812,7 +1904,7 @@ impl<T: Tracer> Vm<T> {
                 },
             );
         }
-        Ok(StepOut::Continue)
+        Ok(())
     }
 
     /// Pops the innermost recovery domain, ending the quarantine scope of
@@ -2151,6 +2243,26 @@ impl<T: Tracer> Vm<T> {
                 return self.do_ret(v);
             }
             FlatOp::Unreachable => return Err(VmError::Unreachable),
+            FlatOp::BoundsCheck { mp, src, derived } => {
+                let (mp, src, derived) = (*mp, src!(src), src!(derived));
+                self.os_span(Intrinsic::BoundsCheck, |vm| {
+                    vm.check_pool(mp, Some(src), derived)
+                })?;
+            }
+            FlatOp::LsCheck { mp, addr } => {
+                let (mp, addr) = (*mp, src!(addr));
+                self.os_span(Intrinsic::LsCheck, |vm| vm.check_pool(mp, None, addr))?;
+            }
+            FlatOp::RangeCheck {
+                start,
+                derived,
+                end,
+            } => {
+                let (start, derived, end) = (src!(start), src!(derived), src!(end));
+                self.os_span(Intrinsic::BoundsCheckRange, |vm| {
+                    vm.check_range(start, derived, end)
+                })?;
+            }
             // ---- optimizing-tier ops (DESIGN.md §4.4) ----
             //
             // Each fused handler retires the pair's second instruction in
@@ -2231,23 +2343,15 @@ impl<T: Tracer> Vm<T> {
                 // where the unfused load was never reached.
                 self.stats.instructions += 1;
                 self.stats.fused_execs += 1;
-                // The swallowed check, verbatim from `intrinsic_inner`:
-                // same cycle charge, same lookup, same trace attribution,
-                // same failure path — against the skew-adjusted address.
-                self.stats.cycles += CHECK_CYCLES;
-                let before = self.lookups_of(mp);
-                let pool = self.pools.pool_mut(sva_rt::MetaPoolId(mp));
-                let (name, r) = match chk_src {
-                    Some(src) => (
-                        Intrinsic::BoundsCheck.name(),
-                        pool.bounds_check(src, addr as u64),
-                    ),
-                    None => (Intrinsic::LsCheck.name(), pool.ls_check(addr as u64)),
+                // The swallowed check runs the body every check path
+                // shares — same cycle charge, lookup, SVA-OS span and
+                // trace events, same failure — against the skew-adjusted
+                // address.
+                let chk = match chk_src {
+                    Some(_) => Intrinsic::BoundsCheck,
+                    None => Intrinsic::LsCheck,
                 };
-                if T::wants(EventClass::Check) {
-                    self.trace_check(name, mp, before, r.is_ok(), CHECK_CYCLES);
-                }
-                r.map_err(VmError::Safety)?;
+                self.os_span(chk, |vm| vm.check_pool(mp, chk_src, addr as u64))?;
                 self.stats.instructions += 1;
                 self.stats.fused_execs += 1;
                 let v = self.mem.read_uint(addr as u64, w as u64, mode)?;
@@ -2624,6 +2728,7 @@ impl<T: Tracer> Vm<T> {
             // A trap handler finished: resume the interrupted context with
             // the handler's return value as the syscall result.
             self.iret(icid as u64, v)?;
+            self.refresh_attention();
             return Ok(StepOut::Continue);
         }
         Ok(StepOut::Exit(VmExit::Returned(v)))
@@ -2637,15 +2742,27 @@ impl<T: Tracer> Vm<T> {
         args: &[u64],
         dst: Option<u32>,
     ) -> Result<StepOut, VmError> {
+        let result = self.os_span(i, |vm| vm.intrinsic_inner(i, args, dst));
+        // An SVA-OS operation can arm any rare boundary condition (an
+        // abort, a domain push, a fault action at a trap).
+        self.refresh_attention();
+        result
+    }
+
+    /// Runs an SVA-OS operation inside its trace span: enter/exit events
+    /// bracket it, and the exit carries the cycles it added beyond the
+    /// base charge. The intrinsic path, the flat check ops and the fused
+    /// triple all go through here, so a check emits the same events
+    /// whichever way it runs.
+    #[inline(always)]
+    fn os_span<R>(&mut self, i: Intrinsic, op: impl FnOnce(&mut Self) -> R) -> R {
         if !T::wants(EventClass::Os) {
-            return self.intrinsic_inner(i, args, dst);
+            return op(self);
         }
-        // SVA-OS span: enter/exit events bracket the operation; the exit
-        // carries the cycles the operation added beyond the base charge.
         let enter = self.stats.cycles;
         self.tracer
             .record(enter, TraceEvent::OsEnter { op: i.name() });
-        let result = self.intrinsic_inner(i, args, dst);
+        let result = op(self);
         let ts = self.stats.cycles;
         self.tracer.record(
             ts,
@@ -2655,6 +2772,53 @@ impl<T: Tracer> Vm<T> {
             },
         );
         result
+    }
+
+    /// `pchk.bounds(mp, src, addr)` when `src` is given, else
+    /// `pchk.lscheck(mp, addr)`: charge, lookup, `Check` event, failure.
+    #[inline(always)]
+    fn check_pool(&mut self, mp: u32, src: Option<u64>, addr: u64) -> Result<(), VmError> {
+        self.stats.cycles += CHECK_CYCLES;
+        let before = self.lookups_of(mp);
+        let pool = self.pools.pool_mut(sva_rt::MetaPoolId(mp));
+        let (name, r) = match src {
+            Some(src) => (Intrinsic::BoundsCheck.name(), pool.bounds_check(src, addr)),
+            None => (Intrinsic::LsCheck.name(), pool.ls_check(addr)),
+        };
+        if T::wants(EventClass::Check) {
+            self.trace_check(name, mp, before, r.is_ok(), CHECK_CYCLES);
+        }
+        r.map_err(VmError::Safety)
+    }
+
+    /// `pchk.bounds.range(start, derived, end)`: the known-bounds check
+    /// that needs no lookup.
+    #[inline(always)]
+    fn check_range(&mut self, start: u64, derived: u64, end: u64) -> Result<(), VmError> {
+        self.stats.cycles += 2;
+        self.stats.range_checks += 1;
+        let ok = derived >= start && derived <= end;
+        if T::wants(EventClass::Check) {
+            self.tracer.record(
+                self.stats.cycles,
+                TraceEvent::Check {
+                    check: Intrinsic::BoundsCheckRange.name(),
+                    pool: u32::MAX,
+                    layer: LookupLayer::None,
+                    passed: ok,
+                    cost: 2,
+                },
+            );
+        }
+        if !ok {
+            return Err(VmError::Safety(CheckError {
+                kind: sva_rt::CheckKind::Bounds,
+                pool: "static".into(),
+                addr: derived,
+                detail: format!("static object [{start:#x}, {end:#x})"),
+            }));
+        }
+        Ok(())
     }
 
     fn intrinsic_inner(
@@ -2979,55 +3143,11 @@ impl<T: Tracer> Vm<T> {
                     hook.on_pool_drop(mp, addr);
                 }
             }
-            BoundsCheck => {
-                self.stats.cycles += CHECK_CYCLES;
-                let (mp, src, derived) = (arg(0) as u32, arg(1), arg(2));
-                let before = self.lookups_of(mp);
-                let r = self
-                    .pools
-                    .pool_mut(sva_rt::MetaPoolId(mp))
-                    .bounds_check(src, derived);
-                if T::wants(EventClass::Check) {
-                    self.trace_check(i.name(), mp, before, r.is_ok(), CHECK_CYCLES);
-                }
-                r.map_err(VmError::Safety)?;
-            }
-            BoundsCheckRange => {
-                self.stats.cycles += 2;
-                self.stats.range_checks += 1;
-                let (start, derived, end) = (arg(0), arg(1), arg(2));
-                let ok = derived >= start && derived <= end;
-                if T::wants(EventClass::Check) {
-                    self.tracer.record(
-                        self.stats.cycles,
-                        TraceEvent::Check {
-                            check: i.name(),
-                            pool: u32::MAX,
-                            layer: LookupLayer::None,
-                            passed: ok,
-                            cost: 2,
-                        },
-                    );
-                }
-                if !ok {
-                    return Err(VmError::Safety(CheckError {
-                        kind: sva_rt::CheckKind::Bounds,
-                        pool: "static".into(),
-                        addr: derived,
-                        detail: format!("static object [{start:#x}, {end:#x})"),
-                    }));
-                }
-            }
-            LsCheck => {
-                self.stats.cycles += CHECK_CYCLES;
-                let (mp, addr) = (arg(0) as u32, arg(1));
-                let before = self.lookups_of(mp);
-                let r = self.pools.pool_mut(sva_rt::MetaPoolId(mp)).ls_check(addr);
-                if T::wants(EventClass::Check) {
-                    self.trace_check(i.name(), mp, before, r.is_ok(), CHECK_CYCLES);
-                }
-                r.map_err(VmError::Safety)?;
-            }
+            // The checks the translator did not turn into flat ops (the
+            // tree engine, a non-constant pool id).
+            BoundsCheck => self.check_pool(arg(0) as u32, Some(arg(1)), arg(2))?,
+            BoundsCheckRange => self.check_range(arg(0), arg(1), arg(2))?,
+            LsCheck => self.check_pool(arg(0) as u32, None, arg(1))?,
             GetBounds => {
                 self.stats.cycles += CHECK_CYCLES;
                 let (mp, p, sout, eout) = (arg(0) as u32, arg(1), arg(2), arg(3));
@@ -3745,6 +3865,33 @@ fn t_src(m: &Module, g: &[u64], op: &Operand) -> Src {
     }
 }
 
+/// The flat op of a run-time check call: `pchk.bounds` or `pchk.lscheck`
+/// with a constant pool id, or `pchk.bounds.range`, at its exact arity.
+/// Any other call stays on the intrinsic path.
+fn check_op(i: Intrinsic, args: &[Operand], s: impl Fn(&Operand) -> Src) -> Option<FlatOp> {
+    let pool = |o: &Operand| match o {
+        Operand::ConstInt(c, _) => Some(*c as u64 as u32),
+        _ => None,
+    };
+    Some(match (i, args) {
+        (Intrinsic::BoundsCheck, [mp, src, derived]) => FlatOp::BoundsCheck {
+            mp: pool(mp)?,
+            src: s(src),
+            derived: s(derived),
+        },
+        (Intrinsic::LsCheck, [mp, addr]) => FlatOp::LsCheck {
+            mp: pool(mp)?,
+            addr: s(addr),
+        },
+        (Intrinsic::BoundsCheckRange, [start, derived, end]) => FlatOp::RangeCheck {
+            start: s(start),
+            derived: s(derived),
+            end: s(end),
+        },
+        _ => return None,
+    })
+}
+
 fn translate_inst(
     m: &Module,
     f: &sva_ir::Function,
@@ -3855,7 +4002,12 @@ fn translate_inst(
                 Callee::Direct(fid) => FlatCallee::Direct(fid.0),
                 Callee::External(e) => FlatCallee::External(e.0),
                 Callee::Indirect(o) => FlatCallee::Indirect(s(o)),
-                Callee::Intrinsic(i) => FlatCallee::Intrinsic(*i),
+                Callee::Intrinsic(i) => {
+                    if let Some(op) = check_op(*i, args, s) {
+                        return Ok(op);
+                    }
+                    FlatCallee::Intrinsic(*i)
+                }
             };
             FlatOp::Call {
                 dst,
